@@ -311,8 +311,7 @@ def identification_ii() -> dict[str, str]:
     if IDENTIFICATION_II_LABELS is not None:
         return dict(IDENTIFICATION_II_LABELS)
     run = apply_sequence(initial_track(), s1_moves())
-    isos = isomorphisms(initial_track(), run.final, mode="embedded",
-                        include_mirror=False)
+    isos = isomorphisms(initial_track(), run.final)
     from .morphism import iso_morphism
 
     for iso in isos:

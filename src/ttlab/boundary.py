@@ -204,10 +204,8 @@ class SideDynamics:
     orbits: tuple[SideOrbit, ...]
     total_points: int  # summed over every side of every orbit
     degenerate: bool
+    boundary_points: int  # points on a letter's slot boundary, not counted
     warnings: tuple[str, ...]
-
-    def orbits_of_curve(self, curve_index: int) -> tuple[SideOrbit, ...]:
-        return tuple(o for o in self.orbits if o.sides[0][0] == curve_index)
 
     @property
     def single_point_per_side(self) -> bool:
@@ -298,6 +296,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
 
     orbits: list[SideOrbit] = []
     degenerate = False
+    boundary_points = 0
     total = 0
     for orb in orbit_list:
         p = len(orb)
@@ -335,6 +334,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
                     found.append(q)
                 elif lam <= t_off + q and mu >= t_off + q + 1:
                     # covers, but only up to the slot boundary
+                    boundary_points += 1
                     warnings.append(
                         f"side {s}: periodic point on the boundary of "
                         f"letter {q}, not counted"
@@ -363,7 +363,8 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
             SideOrbit(orb, p, tuple(t_offs), tuple(counts), tuple(points))
         )
 
-    return SideDynamics(tuple(orbits), total, degenerate, tuple(warnings))
+    return SideDynamics(tuple(orbits), total, degenerate, boundary_points,
+                        tuple(warnings))
 
 
 def _mark_word(word: Word, marked: int) -> str:

@@ -21,17 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import BoundaryAction, SideDynamics, boundary_action, side_dynamics
-from .errors import (
-    AlignmentError,
-    NoConvergence,
-    NotASelfMap,
-    TrackError,
-)
+from .errors import NoConvergence, NotASelfMap, TrackError
 from .incidence import (
     IncidenceMatrix,
     IrreducibilityReport,
     PerronData,
     PrimitivityReport,
+    check_tolerance,
     dilatation,
     fixed_edge_points,
     incidence_matrix,
@@ -88,6 +84,7 @@ class Certificate:
 
 
 def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
+    check_tolerance(tol)
     if not m.is_self_map:
         raise NotASelfMap("certification needs a self map")
     m.check()
@@ -132,7 +129,7 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
         and sides is not None
         and not sides.degenerate
         and sides.single_point_per_side
-        and not any("boundary of letter" in w for w in (sides.warnings or ()))
+        and sides.boundary_points == 0
     ):
         verdict = VERDICT_PA
     else:

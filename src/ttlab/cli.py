@@ -5,7 +5,7 @@ entry out of a multi-entry file, or "atlas:NAME" for a catalogue entry.
 
 Exit codes: 0 success, 1 semantic failure (invalid track, failed check,
 verdict mismatch), 2 usage or input errors (bad syntax, unknown entry,
-unreadable file).
+unreadable file, a tolerance that is not finite and positive).
 """
 
 from __future__ import annotations
@@ -363,7 +363,6 @@ def cmd_search_loops(args) -> int:
     t = resolve_track(args.spec)
     cfg = SearchConfig(
         max_depth=args.depth,
-        fanout=args.fanout,
         certify=not args.no_certify,
         tolerance=args.tol,
         max_nodes=args.max_nodes,
@@ -513,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sesub.add_parser("loops")
     p.add_argument("spec", help="seed track")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--fanout", type=int, default=1,
-                   help="parallel first-level branches")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--no-certify", action="store_true",
                    help="skip certifying the loop self maps")

@@ -88,7 +88,7 @@ class UnknownEntry(TrackError, KeyError):
 
 
 class BadIndex(TrackError, ValueError):
-    """A family generator was asked for a parameter outside its range."""
+    """A parameter outside its range: a family index, a tolerance."""
 
 
 class NotAnIdentification(TrackError):

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 import networkx as nx
 
-from .errors import NoConvergence, NotIrreducible, NotPrimitive
+from .errors import BadIndex, NoConvergence, NotIrreducible, NotPrimitive
 from .morphism import TrackMorphism
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -48,9 +48,6 @@ class IncidenceMatrix:
         r = self.data[self.rows.index(label)]
         return {c: r[j] for j, c in enumerate(self.cols)}
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.data]
-
 
 def incidence_matrix(m: TrackMorphism) -> IncidenceMatrix:
     rows = tuple(sorted(m.source.edges))
@@ -73,14 +70,6 @@ def mat_mult(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def matrices_multiply(ms) -> Matrix:
-    ms = list(ms)
-    out = ms[0]
-    for m in ms[1:]:
-        out = mat_mult(out, m)
-    return out
 
 
 def fixed_edge_points(m: TrackMorphism) -> tuple[tuple[str, int], ...]:
@@ -171,6 +160,13 @@ class PerronData:
         return self.upper - self.lower
 
 
+def check_tolerance(tol: float) -> None:
+    """A bracket width must be finite and positive; zero or less never
+    converges, and NaN or infinity has no exact rational value."""
+    if not (isfinite(tol) and tol > 0):
+        raise BadIndex(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def _cw_bounds(a: Matrix, v: list[int]) -> tuple[Fraction, Fraction, list[int]]:
     w = [sum(x * y for x, y in zip(row, v)) for row in a]
     quots = [Fraction(wi, vi) for wi, vi in zip(w, v)]
@@ -192,6 +188,7 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
     of the exact vector give true lower and upper bounds.  Stops when the
     bracket is narrower than `tol`.
     """
+    check_tolerance(tol)
     rep = irreducibility(mat)
     if not rep.irreducible:
         raise NotIrreducible(

@@ -52,9 +52,6 @@ class TrackMorphism:
     def mapping(self) -> dict[str, Word]:
         return dict(self.images)
 
-    def image_of(self, label: str) -> Word:
-        return self.mapping[label]
-
     def apply_to_word(self, word: Word, reduce: bool = True) -> Word:
         out = substitute(word, self.mapping)
         return free_reduce(out) if reduce else out
@@ -68,19 +65,11 @@ class TrackMorphism:
             and self.images == other.images
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def is_self_map(self) -> bool:
         return tracks_equal(self.source, self.target)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(s > 0 for _, w in self.images for _, s in w)
 
     # ------------------------------------------------------------------
 
@@ -231,27 +220,3 @@ def iso_morphism(iso: TrackIso, src: TrainTrack, dst: TrainTrack,
         src, dst, {lab: ((iso.labels[lab], 1),) for lab in src.edges}, name=name
     )
 
-
-def invert_iso(m: TrackMorphism, name: str = "") -> TrackMorphism:
-    """Inverse of a bijective single-letter positive morphism."""
-    inv: dict[str, Word] = {}
-    for lab, w in self_images_ok(m):
-        inv[w[0][0]] = ((lab, 1),)
-    return TrackMorphism(m.target, m.source, inv, name=name)
-
-
-def self_images_ok(m: TrackMorphism):
-    seen = set()
-    for lab, w in m.images:
-        if len(w) != 1 or w[0][1] != 1:
-            raise InvalidMorphism("not a relabel morphism, cannot invert")
-        if w[0][0] in seen:
-            raise InvalidMorphism("relabel morphism is not injective")
-        seen.add(w[0][0])
-    return m.images
-
-
-def morphism_inverse_words(m: TrackMorphism, word: Word) -> Word:
-    """Pull a word back along a bijective single-letter morphism."""
-    back = {w[0][0]: lab for lab, w in self_images_ok(m)}
-    return tuple((back[lab], s) for lab, s in word)

@@ -8,8 +8,6 @@ with their certificates.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .certify import Certificate, certify
@@ -22,7 +20,6 @@ from .track import TrackIso, TrainTrack, isomorphisms
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 4
-    fanout: int = 1
     certify: bool = True
     tolerance: float = 1e-10
     max_nodes: int | None = None
@@ -59,15 +56,13 @@ class _Budget:
     def __init__(self, limit: int | None):
         self.limit = limit
         self.count = 0
-        self._lock = threading.Lock()
 
     def bump(self) -> None:
-        with self._lock:
-            self.count += 1
-            if self.limit is not None and self.count > self.limit:
-                raise ResourceLimit(
-                    f"search visited more than {self.limit} tracks"
-                )
+        self.count += 1
+        if self.limit is not None and self.count > self.limit:
+            raise ResourceLimit(
+                f"search visited more than {self.limit} tracks"
+            )
 
 
 def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
@@ -115,8 +110,7 @@ def _dfs(seed: TrainTrack, profile, track: TrainTrack,
          out: list[LoopResult]) -> None:
     budget.bump()
     if moves and track.side_profile == profile:
-        isos = isomorphisms(seed, track, mode="embedded",
-                            include_mirror=False)
+        isos = isomorphisms(seed, track)
         if isos:
             packed = _package(seed, tuple(moves), isos, cfg)
             if packed is not None:
@@ -134,29 +128,12 @@ def search_loops(seed: TrainTrack,
                  config: SearchConfig | None = None) -> tuple[LoopResult, ...]:
     """Enumerate all loops from the seed up to the configured depth.
 
-    The result tuple is deterministic: sorted by move notation, independent
-    of the fanout used to explore first-level branches in parallel.
+    The result tuple is deterministic: sorted by move notation.
     """
     cfg = config or SearchConfig()
-    budget = _Budget(cfg.max_nodes)
-    profile = seed.side_profile
     results: list[LoopResult] = []
-    budget.bump()
-    first = legal_splits(seed)
-    if cfg.fanout <= 1 or len(first) <= 1:
-        for mv in first:
-            child, _ = apply_split(seed, mv)
-            _dfs(seed, profile, child, [mv], cfg, budget, results)
-    else:
-        def branch(mv: SplitMove) -> list[LoopResult]:
-            local: list[LoopResult] = []
-            child, _ = apply_split(seed, mv)
-            _dfs(seed, profile, child, [mv], cfg, budget, local)
-            return local
-
-        with ThreadPoolExecutor(max_workers=cfg.fanout) as pool:
-            for part in pool.map(branch, first):
-                results.extend(part)
+    _dfs(seed, seed.side_profile, seed, [], cfg, _Budget(cfg.max_nodes),
+         results)
     results.sort(key=lambda r: tuple(str(m) for m in r.sequence))
     return tuple(results)
 
@@ -173,8 +150,7 @@ def replay(seed: TrainTrack, moves,
     """
     cfg = config or SearchConfig()
     run = apply_sequence(seed, tuple(moves))
-    isos = isomorphisms(seed, run.final, mode="embedded",
-                        include_mirror=False)
+    isos = isomorphisms(seed, run.final)
     if not isos:
         raise NotAnIdentification(
             f"the sequence ends on a track not isomorphic to {seed.name}")

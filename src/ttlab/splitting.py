@@ -283,15 +283,13 @@ class SplitRun:
     final: TrainTrack
     moves: tuple[SplitMove, ...]
     morphism: TrackMorphism  # final -> start
-    tracks: tuple[TrainTrack, ...] | None = None
 
 
-def apply_sequence(track: TrainTrack, moves, collect: bool = False) -> SplitRun:
+def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
     to the start.  IllegalMove carries the index and the track reached."""
     current = track
     composite = identity_morphism(track)
-    trail = [track] if collect else None
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
@@ -302,7 +300,4 @@ def apply_sequence(track: TrainTrack, moves, collect: bool = False) -> SplitRun:
                 track=current,
             ) from exc
         composite = compose(composite, step)
-        if collect:
-            trail.append(current)
-    return SplitRun(track, current, mv_tuple, composite,
-                    tuple(trail) if collect else None)
+    return SplitRun(track, current, mv_tuple, composite)

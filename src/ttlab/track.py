@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InconsistentConstraints, InvalidTrack, NotOrientable, ParseError
+from .errors import InvalidTrack, NotOrientable, ParseError
 from .words import Letter, Word, is_label, min_rotation, word_key
 
 End = tuple[str, str]  # (edge label, "i" or "t")
@@ -219,9 +219,6 @@ class TrainTrack:
     def switch_of(self, e: End) -> str:
         return self.end_site[e][0]
 
-    def side_of(self, e: End) -> str:
-        return self.end_site[e][1]
-
     # ------------------------------------------------------------------
     # boundary tracing
 
@@ -393,16 +390,15 @@ def tracks_equal(a: TrainTrack, b: TrainTrack) -> bool:
 
 @dataclass(frozen=True)
 class TrackIso:
-    """Flip-free isomorphism: ends map kind-preservingly, (x,k) -> (f(x),k).
+    """Flip-free, orientation-preserving isomorphism: ends map
+    kind-preservingly, (x,k) -> (f(x),k), and side orders are kept.
 
-    Edge-direction-reversing symmetries are deliberately out of scope.
-    `mirrored` records whether side orders were reversed (a reflection).
+    Edge-direction-reversing symmetries and reflections are deliberately
+    out of scope.
     """
 
     label_map: tuple[tuple[str, str], ...]
     switch_map: tuple[tuple[str, str], ...]
-    mirrored: bool
-    mode: str
 
     @cached_property
     def labels(self) -> dict[str, str]:
@@ -412,45 +408,27 @@ class TrackIso:
     def switches(self) -> dict[str, str]:
         return dict(self.switch_map)
 
-    def apply_label(self, lab: str) -> str:
-        return self.labels[lab]
 
+def _switch_alignments(sv: Switch, dv: Switch):
+    """Candidate end pairings of sv onto dv, each side onto a side in order.
 
-def _switch_alignments(sv: Switch, dv: Switch, flavor: str):
-    """Candidate end pairings of sv onto dv.
-
-    straight: A onto a component in order, mirror: reversed.  Both switch
-    presentations of dv are tried.  Pairings that would flip an end kind
-    are dropped (flip-free semantics).
+    Both switch presentations of dv are tried.  Pairings that would flip an
+    end kind are dropped (flip-free semantics).
     """
     la, lb = len(sv.side_a), len(sv.side_b)
     cands = []
     for pa, pb in dv.presentations():
-        if flavor == "straight":
-            pair = (pa, pb)
-        else:
-            pair = (tuple(reversed(pa)), tuple(reversed(pb)))
-        if len(pair[0]) != la or len(pair[1]) != lb:
+        if len(pa) != la or len(pb) != lb:
             continue
-        pairs = list(zip(sv.side_a, pair[0])) + list(zip(sv.side_b, pair[1]))
+        pairs = list(zip(sv.side_a, pa)) + list(zip(sv.side_b, pb))
         if all(se[1] == de[1] for se, de in pairs):
             cands.append(pairs)
     return cands
 
 
-def isomorphisms(
-    src: TrainTrack,
-    dst: TrainTrack,
-    mode: str = "embedded",
-    include_mirror: bool = True,
-) -> tuple[TrackIso, ...]:
-    """All flip-free isomorphisms src -> dst.
-
-    embedded: reflections are a single global choice (the surface is either
-    reflected or it is not).  abstract: each switch may reflect on its own.
-    """
-    if mode not in ("embedded", "abstract"):
-        raise InconsistentConstraints(f"unknown isomorphism mode {mode!r}")
+def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
+    """All flip-free isomorphisms src -> dst in the embedded sense, without
+    reflection; sorted by label map."""
     if len(src.edges) != len(dst.edges) or len(src.switches) != len(dst.switches):
         return ()
     if src.side_profile != dst.side_profile:
@@ -461,66 +439,42 @@ def isomorphisms(
     found: list[TrackIso] = []
     seen: set[tuple] = set()
 
-    def run(flavors: tuple[str, ...], global_flavor: str | None):
-        def rec(i: int, used: set[str], lmap: dict[str, str], smap: dict[str, str],
-                mirrored_any: bool):
-            if i == len(s_sw):
-                key = tuple(sorted(lmap.items()))
-                if key not in seen:
-                    seen.add(key)
-                    found.append(
-                        TrackIso(
-                            tuple(sorted(lmap.items())),
-                            tuple(sorted(smap.items())),
-                            mirrored_any,
-                            mode,
-                        )
-                    )
-                return
-            sv = s_sw[i]
-            for dv in d_all:
-                if dv.name in used:
+    def rec(i: int, used: set[str], lmap: dict[str, str], smap: dict[str, str]):
+        if i == len(s_sw):
+            key = tuple(sorted(lmap.items()))
+            if key not in seen:
+                seen.add(key)
+                found.append(TrackIso(key, tuple(sorted(smap.items()))))
+            return
+        sv = s_sw[i]
+        for dv in d_all:
+            if dv.name in used:
+                continue
+            for pairs in _switch_alignments(sv, dv):
+                add: dict[str, str] = {}
+                ok = True
+                for se, de in pairs:
+                    cur = lmap.get(se[0], add.get(se[0]))
+                    if cur is None:
+                        if de[0] in lmap.values() or de[0] in add.values():
+                            ok = False
+                            break
+                        add[se[0]] = de[0]
+                    elif cur != de[0]:
+                        ok = False
+                        break
+                if not ok:
                     continue
-                for flavor in flavors:
-                    for pairs in _switch_alignments(sv, dv, flavor):
-                        add: dict[str, str] = {}
-                        ok = True
-                        for se, de in pairs:
-                            cur = lmap.get(se[0], add.get(se[0]))
-                            if cur is None:
-                                if de[0] in lmap.values() or de[0] in add.values():
-                                    ok = False
-                                    break
-                                add[se[0]] = de[0]
-                            elif cur != de[0]:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        lmap2 = dict(lmap)
-                        lmap2.update(add)
-                        smap2 = dict(smap)
-                        smap2[sv.name] = dv.name
-                        rec(i + 1, used | {dv.name}, lmap2, smap2,
-                            mirrored_any or flavor == "mirror")
+                lmap2 = dict(lmap)
+                lmap2.update(add)
+                smap2 = dict(smap)
+                smap2[sv.name] = dv.name
+                rec(i + 1, used | {dv.name}, lmap2, smap2)
 
-        rec(0, set(), {}, {}, global_flavor == "mirror")
-
-    if mode == "embedded":
-        run(("straight",), "straight")
-        if include_mirror:
-            run(("mirror",), "mirror")
-    else:
-        flavors = ("straight", "mirror") if include_mirror else ("straight",)
-        run(flavors, None)
-
-    # embedded mirrored flag: a pure mirror pass marks every iso mirrored,
-    # but an iso found in both passes is straight; the straight pass ran
-    # first and `seen` already filtered the duplicate.
-    found.sort(key=lambda iso: (iso.mirrored, iso.label_map))
+    rec(0, set(), {}, {})
+    found.sort(key=lambda iso: iso.label_map)
     return tuple(found)
 
 
-def automorphisms(track: TrainTrack, mode: str = "embedded",
-                  include_mirror: bool = True) -> tuple[TrackIso, ...]:
-    return isomorphisms(track, track, mode=mode, include_mirror=include_mirror)
+def automorphisms(track: TrainTrack) -> tuple[TrackIso, ...]:
+    return isomorphisms(track, track)

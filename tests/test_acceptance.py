@@ -43,15 +43,14 @@ def test_criterion_1_reconstruction():
     assert data.genus == 3
     assert data.coherently_orientable
     assert track.canonical_key == A.base_track().canonical_key
-    assert len(automorphisms(track, "embedded", include_mirror=False)) == 2
+    assert len(automorphisms(track)) == 2
     _report(1, "base track rebuilt: chi -6, genus 3, two 6-cusped curves, "
                "automorphism group of order 2")
 
 
 def test_criterion_2_s1_closure():
     run = apply_sequence(A.initial_track(), A.s1_moves())
-    isos = isomorphisms(A.initial_track(), run.final, "embedded",
-                        include_mirror=False)
+    isos = isomorphisms(A.initial_track(), run.final)
     assert len(isos) == 2
     result = replay(A.initial_track(), A.s1_moves(), A.identification_ii())
     assert len(result.self_maps) == 1
@@ -185,16 +184,20 @@ def test_criterion_8_loop_search():
              for lab, w in loop.self_maps[0].mapping.items()}
     assert words["f"] == "f i" and words["j"] == "i j" and words["k"] == "g k g"
 
-    baseline = [format_sequence(r.sequence) for r in census]
-    for fanout in (2, 4):
-        again = search_loops(
-            A.twisted_track(),
-            SearchConfig(max_depth=4, fanout=fanout, certify=False))
-        assert [format_sequence(r.sequence) for r in again] == baseline
+    # certification filters nothing here, so a search without it must find
+    # the same loops closed by the same identifications, in the same order
+    def closures(loops):
+        return [(format_sequence(r.sequence),
+                 [i.label_map for i in r.identifications]) for r in loops]
+
+    plain = search_loops(A.twisted_track(),
+                         SearchConfig(max_depth=4, certify=False))
+    assert closures(plain) == closures(census)
     elapsed = time.monotonic() - t0
     assert elapsed < 300
     _report(8, f"depth-4 search from tau_prime finds all 80 loops incl. the "
-               f"T(i,g) twist, stable across 1/2/4 threads, in {elapsed:.1f}s")
+               f"T(i,g) twist; the uncertified search finds the same "
+               f"sequences and identifications, in {elapsed:.1f}s")
 
 
 def test_criterion_9_property_suites():

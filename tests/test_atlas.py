@@ -122,16 +122,14 @@ def test_s1_lands_on_base_track():
     run = apply_sequence(A.initial_track(), A.s1_moves())
     assert len(run.moves) == 12
     assert tracks_equal(run.final, A.base_track())
-    isos = isomorphisms(A.initial_track(), run.final, "embedded",
-                        include_mirror=False)
+    isos = isomorphisms(A.initial_track(), run.final)
     assert len(isos) == 2
     assert any(dict(i.labels) == A.identification_ii() for i in isos)
 
 
 def test_s1_closures_differ_by_involution():
     run = apply_sequence(A.initial_track(), A.s1_moves())
-    isos = isomorphisms(A.initial_track(), run.final, "embedded",
-                        include_mirror=False)
+    isos = isomorphisms(A.initial_track(), run.final)
     beta = {x: y for x, y in A.INVOLUTION_PAIRS}
     beta.update({y: x for x, y in A.INVOLUTION_PAIRS})
     one, two = (dict(i.labels) for i in isos)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from ttlab.atlas import involution, phi, phi1, phi2, phi3
+from ttlab.atlas import atlas, atlas_names, involution, phi, phi1, phi2, phi3, psi
 from ttlab.boundary import boundary_action, side_dynamics
 from ttlab.errors import NotASelfMap
+from ttlab.morphism import TrackMorphism
 
 
 # Fold depths frozen from the certified runs; one entry per cusp side.
@@ -140,6 +141,16 @@ def test_identity_dynamics_degenerate():
     sd = side_dynamics(identity_morphism(base_track()))
     assert sd.degenerate
     assert sd.total_points == 0
+
+
+def test_boundary_points_count_the_boundary_warnings():
+    maps = [atlas(n) for n in atlas_names() if ":" not in n]
+    maps = [m for m in maps if isinstance(m, TrackMorphism) and m.is_self_map]
+    maps += [phi(n) for n in (5, 7, 9)] + [psi(n) for n in range(5)]
+    for m in maps:
+        sd = side_dynamics(m)
+        assert sd.boundary_points == sum(
+            "boundary of letter" in w for w in sd.warnings)
 
 
 def test_side_dynamics_accepts_precomputed_action():

@@ -6,7 +6,8 @@ import pytest
 
 from ttlab.atlas import base_track, phi, phi1, phi2, phi3, psi, t_ig
 from ttlab.certify import certify, render_text, to_json_dict
-from ttlab.errors import NotASelfMap
+from ttlab.errors import BadIndex, NotASelfMap
+from ttlab.incidence import dilatation, incidence_matrix
 from ttlab.morphism import identity_morphism
 
 PHI2_DILATATION = 2.2966302628865
@@ -73,6 +74,14 @@ def test_custom_tolerance():
     assert cert.tolerance == 1e-6
     assert float(cert.perron.width) < 1e-6
     assert cert.perron.iterations < certify(phi2()).perron.iterations
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(BadIndex):
+        certify(phi2(), tol=tol)
+    with pytest.raises(BadIndex):
+        dilatation(incidence_matrix(phi2()), tol=tol)
 
 
 def test_render_text_phi2():

@@ -178,6 +178,8 @@ def test_exit_code_two_for_bad_input(capsys):
     assert run(capsys, "atlas", "export", "zeta")[0] == 2
     assert run(capsys, "atlas", "phi", "--n", "4")[0] == 2
     assert run(capsys, "map", "check", "atlas:tau")[0] == 2
+    assert run(capsys, "map", "certify", "atlas:phi2", "--tol", "0")[0] == 2
+    assert run(capsys, "map", "dilatation", "atlas:phi2", "--tol", "nan")[0] == 2
 
 
 def test_errors_go_to_stderr(capsys):

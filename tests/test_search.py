@@ -71,18 +71,13 @@ def test_twist_loop_found(census):
     }
 
 
-def test_search_deterministic_across_fanout(census):
-    plain = [(format_sequence(r.sequence),
-              tuple(dict(i.labels).items() for i in r.identifications))
-             for r in census]
-    for fanout in (2, 4):
-        again = search_loops(
-            twisted_track(),
-            SearchConfig(max_depth=4, fanout=fanout, certify=False))
-        got = [(format_sequence(r.sequence),
-                tuple(dict(i.labels).items() for i in r.identifications))
-               for r in again]
-        assert got == plain
+def test_census_boundary_points_count_the_boundary_warnings(census):
+    sides = [c.sides for r in census for c in r.certificates]
+    assert len(sides) == 160
+    assert {sd.boundary_points for sd in sides} == {4, 8}
+    for sd in sides:
+        assert sd.boundary_points == sum(
+            "boundary of letter" in w for w in sd.warnings)
 
 
 def test_filters_drop_reducible_loops(census):

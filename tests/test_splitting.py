@@ -112,14 +112,6 @@ def test_s1_runs_from_initial_track():
     run.morphism.check()
 
 
-def test_apply_sequence_collect_keeps_intermediates():
-    run = apply_sequence(initial_track(), s1_moves(), collect=True)
-    assert run.tracks is not None
-    assert len(run.tracks) == len(s1_moves()) + 1
-    assert tracks_equal(run.tracks[0], initial_track())
-    assert tracks_equal(run.tracks[-1], base_track())
-
-
 # ----------------------------------------------------------------------
 # seeded random walks
 

@@ -21,7 +21,7 @@ from ttlab.track import (
     isomorphisms,
     tracks_equal,
 )
-from ttlab.words import format_word, inverse, min_rotation, parse_word, word_key
+from ttlab.words import inverse, min_rotation, parse_word, word_key
 
 
 # ----------------------------------------------------------------------
@@ -125,25 +125,21 @@ def test_each_letter_appears_once_across_boundaries():
 
 
 def test_automorphism_group_is_order_two():
-    for mode in ("embedded", "abstract"):
-        autos = automorphisms(base_track(), mode=mode, include_mirror=False)
-        assert len(autos) == 2
-        nontrivial = [a for a in autos
-                      if any(a.labels[x] != x for x in a.labels)]
-        assert len(nontrivial) == 1
-        beta = nontrivial[0]
-        for x, y in INVOLUTION_PAIRS:
-            assert beta.labels[x] == y
-            assert beta.labels[y] == x
+    autos = automorphisms(base_track())
+    assert len(autos) == 2
+    nontrivial = [a for a in autos if any(a.labels[x] != x for x in a.labels)]
+    assert len(nontrivial) == 1
+    beta = nontrivial[0]
+    for x, y in INVOLUTION_PAIRS:
+        assert beta.labels[x] == y
+        assert beta.labels[y] == x
 
 
 def test_isomorphisms_tau_to_tau_prime():
-    isos = isomorphisms(base_track(), twisted_track(), mode="embedded",
-                        include_mirror=False)
+    isos = isomorphisms(base_track(), twisted_track())
     assert len(isos) == 2
     swaps = [i for i in isos if i.labels["i"] == "g"]
     assert len(swaps) == 1
-    assert all(not i.mirrored for i in isos)
 
 
 def test_canonical_key_is_label_sensitive_but_name_blind():
@@ -156,7 +152,7 @@ def test_canonical_key_is_label_sensitive_but_name_blind():
     perm["a"], perm["k"] = "k", "a"
     r = t.relabel(perm)
     assert r.canonical_key != t.canonical_key
-    isos = isomorphisms(t, r, mode="embedded", include_mirror=False)
+    isos = isomorphisms(t, r)
     assert len(isos) == 2
     assert any(i.labels["a"] == "k" and i.labels["b"] == "b" for i in isos)
 
