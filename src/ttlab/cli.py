@@ -4,8 +4,9 @@ Anywhere a SPEC is expected it may be a file path, "FILE#NAME" to pick one
 entry out of a multi-entry file, or "atlas:NAME" for a catalogue entry.
 
 Exit codes: 0 success, 1 semantic failure (invalid track, failed check,
-verdict mismatch), 2 usage or input errors (bad syntax, unknown entry,
-unreadable file, a tolerance that is not finite and positive).
+verdict mismatch, search budget exceeded), 2 usage or input errors (bad
+syntax, unknown entry, unreadable file, a tolerance that is not finite and
+positive, a search depth out of range).
 """
 
 from __future__ import annotations
@@ -512,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sesub.add_parser("loops")
     p.add_argument("spec", help="seed track")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=int, default=SearchConfig.max_nodes,
+                   help="stop after expanding this many tracks "
+                        f"(default {SearchConfig.max_nodes})")
     p.add_argument("--no-certify", action="store_true",
                    help="skip certifying the loop self maps")
     p.add_argument("--fpf", action="store_true",

@@ -1,9 +1,14 @@
-"""Exhaustive search for splitting loops.
+"""Memoized search for splitting loops.
 
 A loop is a legal splitting sequence whose final track is isomorphic to the
 seed (embedded sense, no mirror).  Every identification closing the loop
 induces a cellular self map of the final track; those are packaged together
 with their certificates.
+
+Which moves close up from a track depends only on its structure and on the
+depth left, so the search expands each (structure, remaining depth) once and
+shares the result among every path that reaches it.  The closing sequences
+are then replayed from the seed, one by one, to build their maps.
 """
 
 from __future__ import annotations
@@ -11,10 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import Certificate, certify
-from .errors import NotAnIdentification, ResourceLimit
+from .errors import BadIndex, NotAnIdentification, ResourceLimit
+from .incidence import check_tolerance
 from .morphism import TrackMorphism, compose, iso_morphism
-from .splitting import SplitMove, apply_sequence, apply_split, legal_splits
-from .track import TrackIso, TrainTrack, isomorphisms
+from .splitting import (
+    SplitMove,
+    SplitRun,
+    apply_sequence,
+    legal_splits,
+    split_switches,
+)
+from .track import Switch, TrackIso, TrainTrack, isomorphisms, side_profile
+
+
+# Deepest search accepted.  Each level multiplies the tracks to expand
+# (about 4x from depth 4 to 5), so no exhaustive search gets near it, and
+# its recursion stays well inside Python's default limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -22,7 +40,9 @@ class SearchConfig:
     max_depth: int = 4
     certify: bool = True
     tolerance: float = 1e-10
-    max_nodes: int | None = None
+    # tracks the search may expand (memo misses plus leaf isomorphism
+    # checks); depth 5 from tau_prime expands about 11,600
+    max_nodes: int = 50_000
     # certificate filters; they narrow what is emitted, never what is found
     require_fixed_point_free: bool = False
     require_irreducible: bool = False
@@ -52,19 +72,6 @@ class LoopResult:
         return "; ".join(str(m) for m in self.sequence)
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.count = 0
-
-    def bump(self) -> None:
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
-            raise ResourceLimit(
-                f"search visited more than {self.limit} tracks"
-            )
-
-
 def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
     if cfg.require_irreducible and not cert.irreducibility.irreducible:
         return False
@@ -73,10 +80,8 @@ def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
     return True
 
 
-def _package(seed: TrainTrack, moves: tuple[SplitMove, ...],
-             isos: tuple[TrackIso, ...],
+def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
              cfg: SearchConfig) -> LoopResult | None:
-    run = apply_sequence(seed, moves)
     kept_isos = []
     self_maps = []
     certs = []
@@ -84,7 +89,7 @@ def _package(seed: TrainTrack, moves: tuple[SplitMove, ...],
         carrier = iso_morphism(iso, seed, run.final)
         sm = TrackMorphism(run.final, run.final,
                            compose(carrier, run.morphism).images,
-                           name=f"loop[{'; '.join(str(m) for m in moves)}]")
+                           name=f"loop[{'; '.join(str(m) for m in run.moves)}]")
         if cfg.needs_certificates:
             cert = certify(sm, tol=cfg.tolerance)
             if not _admits(cert, cfg):
@@ -95,7 +100,7 @@ def _package(seed: TrainTrack, moves: tuple[SplitMove, ...],
     if not kept_isos:
         return None
     return LoopResult(
-        sequence=tuple(moves),
+        sequence=run.moves,
         seed=seed,
         final=run.final,
         composite=run.morphism,
@@ -105,36 +110,106 @@ def _package(seed: TrainTrack, moves: tuple[SplitMove, ...],
     )
 
 
-def _dfs(seed: TrainTrack, profile, track: TrainTrack,
-         moves: list[SplitMove], cfg: SearchConfig, budget: _Budget,
-         out: list[LoopResult]) -> None:
-    budget.bump()
-    if moves and track.side_profile == profile:
-        isos = isomorphisms(seed, track)
-        if isos:
-            packed = _package(seed, tuple(moves), isos, cfg)
-            if packed is not None:
-                out.append(packed)
-    if len(moves) >= cfg.max_depth:
-        return
-    for mv in legal_splits(track):
-        child, _ = apply_split(track, mv)
-        moves.append(mv)
-        _dfs(seed, profile, child, moves, cfg, budget, out)
-        moves.pop()
+def _structure_key(switches: tuple[Switch, ...]) -> str:
+    """Each switch's name and canonical presentation, in one string.
+
+    Splitting keeps switch names and their order, so within one search two
+    tracks share a key exactly when they agree switch by switch."""
+    parts = []
+    for sw in switches:
+        a, b = sw.canonical_presentation()
+        parts.append(f"{sw.name}:{','.join(k + lab for lab, k in a)}"
+                     f"/{','.join(k + lab for lab, k in b)}")
+    return ";".join(parts)
+
+
+class _LoopSearch:
+    """Closing suffixes of the tracks below one seed.
+
+    A suffix of a track is a sequence of 1 up to the remaining depth moves
+    that ends on a track isomorphic to the seed.  `memo[r]` maps the key of
+    a track met with r >= 1 moves left to its suffixes, plus the empty one
+    when the track itself closes.  Leaves (no move left) get no entry: their
+    side profile is read off the kernel's switches, and only a match builds
+    a track, whose closure test `closes` keeps under its key.
+    """
+
+    def __init__(self, seed: TrainTrack, cfg: SearchConfig):
+        self.seed = seed
+        self.profile = seed.side_profile
+        self.max_nodes = cfg.max_nodes
+        self.nodes = 0
+        self.memo: list[dict[str, tuple]] = [{} for _ in range(cfg.max_depth)]
+        self.closes: dict[str, bool] = {}
+
+    def _track(self, switches: tuple[Switch, ...]) -> TrainTrack:
+        """A validated track on `switches`; one expansion of the budget."""
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise ResourceLimit(
+                f"search expanded more than {self.max_nodes} tracks")
+        return TrainTrack(self.seed.name, self.seed.edges, switches)
+
+    def _closes(self, switches: tuple[Switch, ...], key: str | None = None,
+                track: TrainTrack | None = None) -> bool:
+        """Whether the track on `switches` is isomorphic to the seed; a
+        caller that already holds its key or its track passes them."""
+        if side_profile(switches) != self.profile:
+            return False
+        key = key or _structure_key(switches)
+        hit = self.closes.get(key)
+        if hit is None:
+            hit = bool(isomorphisms(self.seed, track or self._track(switches)))
+            self.closes[key] = hit
+        return hit
+
+    def suffixes(self, track: TrainTrack,
+                 depth: int) -> tuple[tuple[SplitMove, ...], ...]:
+        """The closing suffixes of `track`, with `depth` >= 1 moves left."""
+        found = []
+        for mv in legal_splits(track):
+            switches = split_switches(track, mv)
+            if depth == 1:
+                if self._closes(switches):
+                    found.append((mv,))
+                continue
+            key = _structure_key(switches)
+            memo = self.memo[depth - 1]
+            tail = memo.get(key)
+            if tail is None:
+                child = self._track(switches)
+                tail = self.suffixes(child, depth - 1)
+                if self._closes(switches, key, child):
+                    tail = ((),) + tail
+                memo[key] = tail
+            found.extend((mv,) + s for s in tail)
+        # most tracks close nothing; tuple() of an empty list is the one
+        # shared empty tuple, so those memo entries cost no value object
+        return tuple(found)
 
 
 def search_loops(seed: TrainTrack,
                  config: SearchConfig | None = None) -> tuple[LoopResult, ...]:
     """Enumerate all loops from the seed up to the configured depth.
 
-    The result tuple is deterministic: sorted by move notation.
+    The result tuple is deterministic: sorted by move notation.  Raises
+    BadIndex for a depth outside 0..MAX_DEPTH or a tolerance that is not
+    finite and positive, and ResourceLimit once more than `max_nodes`
+    tracks are expanded.
     """
     cfg = config or SearchConfig()
+    check_tolerance(cfg.tolerance)
+    if not 0 <= cfg.max_depth <= MAX_DEPTH:
+        raise BadIndex(f"search depth must be between 0 and {MAX_DEPTH}, "
+                       f"got {cfg.max_depth}")
+    found = _LoopSearch(seed, cfg).suffixes(seed, cfg.max_depth) \
+        if cfg.max_depth else ()
     results: list[LoopResult] = []
-    _dfs(seed, seed.side_profile, seed, [], cfg, _Budget(cfg.max_nodes),
-         results)
-    results.sort(key=lambda r: tuple(str(m) for m in r.sequence))
+    for moves in sorted(found, key=lambda s: tuple(str(m) for m in s)):
+        run = apply_sequence(seed, moves)
+        packed = _package(seed, run, isomorphisms(seed, run.final), cfg)
+        if packed is not None:
+            results.append(packed)
     return tuple(results)
 
 
@@ -161,7 +236,7 @@ def replay(seed: TrainTrack, moves,
         if not isos:
             raise NotAnIdentification(
                 "the given label bijection does not close this loop")
-    packed = _package(seed, tuple(moves), isos, cfg)
+    packed = _package(seed, run, isos, cfg)
     if packed is None:
         raise NotAnIdentification(
             "no closure of this loop passes the configured filters")

@@ -152,18 +152,23 @@ def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
     return images
 
 
-def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
-    """Perform one move; returns (new track, morphism new -> old)."""
+def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
+    """The switches of the track `move` splits `track` into, in the same
+    order and under the same names.  This is the structure-only kernel of
+    apply_split: no track is built or validated.  Switches the move leaves
+    alone are the original objects."""
     v, case = _move_case(track, move)
+    site = track.end_site
+    far = flip_end(move.over)
+    w, side_f, _ = site[far]
     sides: dict[str, tuple[list[End], list[End]]] = {
-        sw.name: (list(sw.side_a), list(sw.side_b)) for sw in track.switches
+        sw.name: (list(sw.side_a), list(sw.side_b))
+        for sw in (track.switch_by_name[v], track.switch_by_name[w])
     }
     # detach the slid end
-    _, side_s, idx_s = track.end_site[move.slid]
+    _, side_s, idx_s = site[move.slid]
     del sides[v][0 if side_s == "A" else 1][idx_s]
     # reattach next to the far end of the over edge
-    far = flip_end(move.over)
-    w, side_f, _ = track.end_site[far]
     flist = sides[w][0 if side_f == "A" else 1]
     p = flist.index(far)
     if case == "before":
@@ -171,11 +176,16 @@ def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMo
         flist.insert(p if side_f == "A" else p + 1, move.slid)
     else:
         flist.insert(p + 1 if side_f == "A" else p, move.slid)
-    switches = tuple(
+    return tuple(
         Switch(sw.name, tuple(sides[sw.name][0]), tuple(sides[sw.name][1]))
+        if sw.name in sides else sw
         for sw in track.switches
     )
-    new_track = TrainTrack(track.name, track.edges, switches)
+
+
+def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
+    """Perform one move; returns (new track, morphism new -> old)."""
+    new_track = TrainTrack(track.name, track.edges, split_switches(track, move))
     morphism = TrackMorphism(new_track, track, _split_images(track, move),
                              name=str(move))
     return new_track, morphism

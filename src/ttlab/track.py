@@ -88,6 +88,15 @@ class Switch:
         return min(self.presentations())
 
 
+def side_profile(switches) -> tuple[int, ...]:
+    """Sorted multiset of the side sizes of `switches`."""
+    sizes = []
+    for sw in switches:
+        sizes.append(len(sw.side_a))
+        sizes.append(len(sw.side_b))
+    return tuple(sorted(sizes))
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     """One boundary circle of the fibered neighborhood, in canonical rotation.
@@ -210,11 +219,7 @@ class TrainTrack:
     @cached_property
     def side_profile(self) -> tuple[int, ...]:
         """Sorted multiset of side sizes; cheap isomorphism prefilter."""
-        sizes = []
-        for sw in self.switches:
-            sizes.append(len(sw.side_a))
-            sizes.append(len(sw.side_b))
-        return tuple(sorted(sizes))
+        return side_profile(self.switches)
 
     def switch_of(self, e: End) -> str:
         return self.end_site[e][0]

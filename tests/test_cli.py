@@ -173,6 +173,17 @@ def test_search_loops_out_dir(capsys, tmp_path):
     assert len(doc.sequences) == 1 and len(doc.maps) == 2
 
 
+def test_search_loops_budget_and_bad_parameters(capsys):
+    code, _, err = run(capsys, "search", "loops", "atlas:tau_prime",
+                       "--depth", "30", "--no-certify", "--max-nodes", "200")
+    assert code == 1
+    assert "expanded more than 200 tracks" in err
+    for extra in (["--depth", "1", "--tol", "nan"], ["--depth", "-1"]):
+        code, _, _ = run(capsys, "search", "loops", "atlas:tau_prime",
+                         "--no-certify", *extra)
+        assert code == 2
+
+
 def test_exit_code_two_for_bad_input(capsys):
     assert run(capsys, "track", "info", "/does/not/exist.tt")[0] == 2
     assert run(capsys, "atlas", "export", "zeta")[0] == 2

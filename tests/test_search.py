@@ -14,9 +14,28 @@ from ttlab.atlas import (
     t_gi,
     twisted_track,
 )
-from ttlab.errors import IllegalMove, NotAnIdentification, ResourceLimit
-from ttlab.search import LoopResult, SearchConfig, search_loops, replay
-from ttlab.splitting import SplitMove, apply_sequence, format_sequence
+from ttlab.errors import (
+    BadIndex,
+    IllegalMove,
+    NotAnIdentification,
+    ResourceLimit,
+)
+from ttlab.morphism import compose, compose_chain, iso_morphism
+from ttlab.search import (
+    MAX_DEPTH,
+    LoopResult,
+    SearchConfig,
+    replay,
+    search_loops,
+)
+from ttlab.splitting import (
+    SplitMove,
+    apply_sequence,
+    apply_split,
+    format_sequence,
+    legal_splits,
+)
+from ttlab.track import isomorphisms
 from ttlab.words import format_word
 
 
@@ -90,6 +109,75 @@ def test_filters_drop_reducible_loops(census):
 def test_node_budget():
     with pytest.raises(ResourceLimit):
         search_loops(twisted_track(), SearchConfig(max_depth=4, max_nodes=10))
+
+
+def test_default_node_budget_is_finite():
+    assert isinstance(SearchConfig().max_nodes, int)
+    assert 0 < SearchConfig().max_nodes < 10**6
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(max_depth=-1),
+    SearchConfig(max_depth=MAX_DEPTH + 1),
+    SearchConfig(max_depth=1, certify=False, tolerance=float("nan")),
+    SearchConfig(max_depth=1, certify=False, tolerance=0.0),
+])
+def test_bad_search_parameters_rejected(cfg):
+    with pytest.raises(BadIndex):
+        search_loops(base_track(), cfg)
+
+
+def _plain_dfs(seed, max_depth):
+    """Reference enumerator: the unmemoized search, one apply_split per edge
+    of the split tree.  Maps each closing sequence to its closures as
+    (label map, switch map, self-map images)."""
+    found = {}
+
+    def walk(track, moves, steps):
+        if moves:
+            closures = []
+            for iso in isomorphisms(seed, track):
+                composite = compose_chain(steps)
+                images = compose(iso_morphism(iso, seed, track),
+                                 composite).images
+                closures.append((iso.label_map, iso.switch_map, images))
+            if closures:
+                found[tuple(str(m) for m in moves)] = closures
+        if len(moves) == max_depth:
+            return
+        for mv in legal_splits(track):
+            child, step = apply_split(track, mv)
+            walk(child, moves + [mv], steps + [step])
+
+    walk(seed, [], [])
+    return found
+
+
+def _closures(loops):
+    return {
+        tuple(str(m) for m in r.sequence): [
+            (iso.label_map, iso.switch_map, sm.images)
+            for iso, sm in zip(r.identifications, r.self_maps)
+        ]
+        for r in loops
+    }
+
+
+@pytest.mark.parametrize("make_seed", [base_track, initial_track,
+                                       twisted_track])
+def test_memoized_search_matches_plain_dfs_to_depth_three(make_seed):
+    # no atlas seed closes a loop in under four moves, so this checks that
+    # the memo invents no closure; the census below checks real ones
+    seed = make_seed()
+    loops = search_loops(seed, SearchConfig(max_depth=3, certify=False))
+    assert _closures(loops) == _plain_dfs(seed, 3)
+
+
+def test_memoized_census_matches_plain_dfs(census):
+    want = _plain_dfs(twisted_track(), 4)
+    assert len(want) == 80
+    assert _closures(census) == want
+    assert [tuple(str(m) for m in r.sequence) for r in census] == sorted(want)
 
 
 def test_replay_sigma1_closure():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab.atlas import base_track, initial_track, s1_moves, twisted_track
 from ttlab.errors import IllegalMove, ParseError
@@ -15,6 +17,7 @@ from ttlab.splitting import (
     legal_splits,
     parse_move,
     parse_sequence,
+    split_switches,
     unsplit,
 )
 from ttlab.track import tracks_equal
@@ -152,3 +155,18 @@ def test_random_walks_unsplit_back_to_start():
         for mv in reversed(moves):
             t, _ = unsplit(t, mv)
         assert tracks_equal(t, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.sampled_from([base_track, twisted_track, initial_track]),
+       picks=st.lists(st.integers(min_value=0, max_value=10**6),
+                      min_size=1, max_size=6))
+def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
+    t = start()
+    for pick in picks:
+        options = legal_splits(t)
+        mv = options[pick % len(options)]
+        child, _ = apply_split(t, mv)
+        assert split_switches(t, mv) == child.switches
+        assert unsplit(child, mv)[0].canonical_key == t.canonical_key
+        t = child
