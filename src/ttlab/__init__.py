@@ -21,7 +21,6 @@ from .errors import (
     InvalidMorphism,
     InvalidTrack,
     NoConvergence,
-    NoSplitAvailable,
     NotAnIdentification,
     NotASelfMap,
     NotIrreducible,
@@ -91,11 +90,11 @@ __all__ = [
     "BoundaryNotPreserved", "Certificate", "ChainMismatch", "CurveImage",
     "EulerData", "IllegalMove", "IncidenceMatrix", "InconsistentConstraints",
     "InvalidMorphism", "InvalidTrack", "LoopResult", "NoConvergence",
-    "NoSplitAvailable", "NotASelfMap", "NotIrreducible", "NotOrientable",
-    "NotPrimitive", "ParseError", "PeriodicPoint", "PerronData",
-    "ResourceLimit", "SearchConfig", "SideDynamics", "SideOrbit", "SplitMove",
-    "SplitRun", "Switch", "TrackError", "TrackIso", "TrackMorphism",
-    "TrainTrack", "UnknownEntry", "apply_sequence", "apply_split", "atlas",
+    "NotASelfMap", "NotIrreducible", "NotOrientable", "NotPrimitive",
+    "ParseError", "PeriodicPoint", "PerronData", "ResourceLimit",
+    "SearchConfig", "SideDynamics", "SideOrbit", "SplitMove", "SplitRun",
+    "Switch", "TrackError", "TrackIso", "TrackMorphism", "TrainTrack",
+    "UnknownEntry", "apply_sequence", "apply_split", "atlas",
     "automorphisms", "boundary_action", "certify", "compose", "compose_chain",
     "cyclic_reduce", "dilatation", "fileio", "fixed_edge_points",
     "format_sequence", "format_word", "free_reduce", "identity_morphism",

@@ -22,15 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BadIndex, InconsistentConstraints, UnknownEntry
-from .morphism import TrackMorphism, compose, relabel_morphism
-from .splitting import SplitMove, apply_sequence, parse_sequence, unsplit
-from .track import (
-    Switch,
-    TrainTrack,
-    arrival_end,
-    departure_end,
-    isomorphisms,
-)
+from .morphism import TrackMorphism, relabel_morphism
+from .splitting import SplitMove, parse_sequence, unsplit
+from .track import Switch, TrainTrack, arrival_end, departure_end
 from .words import Word, inverse, parse_word
 
 ALPHABET = tuple("abcdefghijkl")
@@ -49,7 +43,7 @@ _TAU_SWITCHES = (
 
 # frozen output of derive_initial_track(); the shape the opening sequence
 # starts from, before any splitting has happened
-_TAU_INITIAL_SWITCHES: tuple[tuple[str, str, str], ...] | None = (
+_TAU_INITIAL_SWITCHES = (
     ("v1", "t(l) t(c)", "i(b) i(a)"),
     ("v2", "t(a) t(b)", "i(c) i(d)"),
     ("v3", "t(j) t(e)", "i(k) i(l)"),
@@ -104,7 +98,7 @@ TWIST_GI_TEXT = "t(f)/i(g); i(j)/t(g); i(k)/t(i); t(k)/i(i)"  # legal on tau_pri
 # frozen output of the identification search in the closure of s1; maps
 # labels of tau_initial to labels of tau (identification II reproduces phi1,
 # the other closure is beta composed with this one)
-IDENTIFICATION_II_LABELS: dict[str, str] | None = {
+IDENTIFICATION_II_LABELS = {
     "a": "k", "b": "i", "c": "g", "d": "j", "e": "b", "f": "l",
     "g": "a", "h": "c", "i": "e", "j": "d", "k": "h", "l": "f",
 }
@@ -160,10 +154,8 @@ def twisted_track() -> TrainTrack:
 
 @lru_cache(maxsize=None)
 def initial_track() -> TrainTrack:
-    if _TAU_INITIAL_SWITCHES is not None:
-        return TrainTrack("tau_initial", ALPHABET,
-                          _parse_switches(_TAU_INITIAL_SWITCHES))
-    return derive_initial_track()
+    return TrainTrack("tau_initial", ALPHABET,
+                      _parse_switches(_TAU_INITIAL_SWITCHES))
 
 
 def derive_initial_track() -> TrainTrack:
@@ -304,22 +296,10 @@ def splitting_sequence(n: int) -> tuple[SplitMove, ...]:
     return s1_moves() + (twist_ig_moves() + twist_gi_moves()) * m
 
 
-@lru_cache(maxsize=None)
 def identification_ii() -> dict[str, str]:
     """Label bijection tau_initial -> tau closing the opening sequence so
     that the induced self map is phi1 verbatim."""
-    if IDENTIFICATION_II_LABELS is not None:
-        return dict(IDENTIFICATION_II_LABELS)
-    run = apply_sequence(initial_track(), s1_moves())
-    isos = isomorphisms(initial_track(), run.final)
-    from .morphism import iso_morphism
-
-    for iso in isos:
-        self_map = compose(iso_morphism(iso, initial_track(), run.final),
-                           run.morphism)
-        if self_map.mapping == phi1().mapping:
-            return dict(iso.labels)
-    raise InconsistentConstraints("no identification reproduces phi1")
+    return dict(IDENTIFICATION_II_LABELS)
 
 
 # ----------------------------------------------------------------------

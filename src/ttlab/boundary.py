@@ -263,8 +263,8 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
             left_overhang[(i, k)] = ci.fold_depths[k]
 
     # verify the decomposition phi(word(s)) == A word(sigma s) B letter by letter
-    for s, w in sorted(words.items()):
-        img = m.apply_to_word(w, reduce=False)
+    images = {s: m.apply_to_word(w, reduce=False) for s, w in words.items()}
+    for s, img in sorted(images.items()):
         mid = words[sigma[s]]
         a = left_overhang[s]
         b = len(img) - a - len(mid)
@@ -302,10 +302,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
         p = len(orb)
         # A_s is a prefix of phi(word(s)); its letters are needed for the
         # exact length under iteration
-        a_words = {}
-        for s in orb:
-            img = m.apply_to_word(words[s], reduce=False)
-            a_words[s] = img[:left_overhang[s]]
+        a_words = {s: images[s][:left_overhang[s]] for s in orb}
         # T(orb[j]) = sum over k of |phi^(p-1-k)(A_{sigma^k orb[j]})|
         t_offs = []
         for j in range(p):
@@ -352,7 +349,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
                     qk = cover[(j + k) % p][0]
                     itin.append((sk[0], sk[1], qk, words[sk][qk][0]))
                 rendered = _render_itinerary(
-                    m, orb, j, words, left_overhang, cover
+                    images, orb, j, words, left_overhang, cover
                 )
                 points.append(
                     PeriodicPoint(s[0], s[1], cover[j][0],
@@ -374,7 +371,7 @@ def _mark_word(word: Word, marked: int) -> str:
     )
 
 
-def _render_itinerary(m, orb, start: int, words, left_overhang, cover) -> str:
+def _render_itinerary(images, orb, start: int, words, left_overhang, cover) -> str:
     """Marked edge display: the side with its covering letter, then each
     image decomposition A.[mid].B with the next covering letter marked."""
     p = len(orb)
@@ -384,7 +381,7 @@ def _render_itinerary(m, orb, start: int, words, left_overhang, cover) -> str:
         s = orb[(start + k) % p]
         nxt_idx = (start + k + 1) % p
         nxt = orb[nxt_idx]
-        img = m.apply_to_word(words[s], reduce=False)
+        img = images[s]
         a = left_overhang[s]
         mid = words[nxt]
         a_word = img[:a]

@@ -61,10 +61,6 @@ class IllegalMove(TrackError):
         self.track = track
 
 
-class NoSplitAvailable(TrackError):
-    """An unfold (or search step) found no candidate move."""
-
-
 class ParseError(TrackError):
     """Malformed textual input.
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 
-import networkx as nx
-
 from .errors import BadIndex, NoConvergence, NotIrreducible, NotPrimitive
 from .morphism import TrackMorphism
 
@@ -98,24 +96,29 @@ class IrreducibilityReport:
 def irreducibility(mat: IncidenceMatrix) -> IrreducibilityReport:
     """Strong connectivity of the digraph e -> e' when M(e, e') > 0.
 
-    On failure the witness is a sink strongly connected component of the
-    condensation: a proper edge set whose images stay inside it.
+    On failure the witness is the least sink strongly connected component:
+    a proper edge set whose images stay inside it.
     """
     if not mat.is_square:
         raise NotIrreducible("irreducibility needs a self map matrix")
-    g = nx.DiGraph()
-    g.add_nodes_from(mat.rows)
-    for i, r in enumerate(mat.rows):
-        for j, c in enumerate(mat.cols):
-            if mat.data[i][j] > 0:
-                g.add_edge(r, c)
-    sccs = [tuple(sorted(s)) for s in nx.strongly_connected_components(g)]
-    if len(sccs) == 1:
+    n = len(mat.rows)
+    reach = []  # reach[i]: the edges i reaches, itself included
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for j, x in enumerate(mat.data[stack.pop()]):
+                if x > 0 and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    comps = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
+    if len(comps) == 1:
         return IrreducibilityReport(True, (), 1)
-    cond = nx.condensation(g, scc=[set(s) for s in sccs])
-    sinks = [sccs[n] for n in cond.nodes if cond.out_degree(n) == 0]
+    # a sink component reaches nothing outside itself
+    sinks = [tuple(sorted(mat.rows[j] for j in c)) for c in comps
+             if c == reach[min(c)]]
     witness = min(sinks)  # deterministic pick
-    return IrreducibilityReport(False, witness, len(sccs))
+    return IrreducibilityReport(False, witness, len(comps))
 
 
 @dataclass(frozen=True)

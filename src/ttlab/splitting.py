@@ -12,8 +12,9 @@ With r = y when the over end is i(y) and r = y^-1 when it is t(y):
 
     sliding t(x) gives x -> x r,   sliding i(x) gives x -> r^-1 x.
 
-Unsplitting folds the slid end back; it is validated by replaying the move
-forward and comparing tracks.
+Unsplitting folds the slid end back: of the tracks that differ from the
+given one only in where the slid end sits, it keeps the one the move splits
+into the given track.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import IllegalMove, NoSplitAvailable, ParseError
+from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism, compose, identity_morphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
 from .words import Word, inv_letter
@@ -195,93 +196,48 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     """Undo `move`: fold the slid end back to the over end's switch.
 
     The result T satisfies apply_split(T, move) == (track, same morphism).
+    Candidates put the slid end at either extremity of the side opposite
+    the over end; the one that split_switches takes back to `track` wins.
     """
     site = track.end_site
     for e in (move.slid, move.over):
         if e not in site:
             raise IllegalMove(f"{move}: no end {format_end(e)}", move=move,
                               reason="missing-end")
-    far = flip_end(move.over)
-    w, side_f, _ = site[far]
-    ws, side_s, _ = site[move.slid]
-    if ws != w or side_s != side_f:
-        raise IllegalMove(
-            f"cannot unsplit {move}: {format_end(move.slid)} is not beside "
-            f"the far end {format_end(far)}", move=move, reason="not-foldable",
-        )
-    sw = track.switch_by_name[w]
-    flist = list(sw.side_a if side_f == "A" else sw.side_b)
-    p_far = flist.index(far)
-    p_slid = flist.index(move.slid)
-    candidates = []
-    if side_f == "A":
-        if p_slid == p_far - 1:
-            candidates.append("before")
-        if p_slid == p_far + 1:
-            candidates.append("after")
-    else:
-        if p_slid == p_far + 1:
-            candidates.append("before")
-        if p_slid == p_far - 1:
-            candidates.append("after")
-    if not candidates:
-        raise IllegalMove(
-            f"cannot unsplit {move}: ends are not adjacent", move=move,
-            reason="not-foldable",
-        )
-
-    results = []
-    for case in candidates:
-        sides: dict[str, tuple[list[End], list[End]]] = {
-            s.name: (list(s.side_a), list(s.side_b)) for s in track.switches
-        }
-        lst = sides[w][0 if side_f == "A" else 1]
-        lst.remove(move.slid)
-        v, side_o, _ = site[move.over]
-        olist = sides[v][0 if side_o == "A" else 1]
-        other = sides[v][1 if side_o == "A" else 0]
-        # restore the slid end at the matching extremity of the move switch
-        if case == "before":
-            if side_o == "A" and olist and olist[-1] == move.over:
-                other.append(move.slid)
-            elif side_o == "B" and olist and olist[0] == move.over:
-                other.insert(0, move.slid)
-            else:
-                continue
-        else:
-            if side_o == "A" and olist and olist[0] == move.over:
-                other.insert(0, move.slid)
-            elif side_o == "B" and olist and olist[-1] == move.over:
-                other.append(move.slid)
-            else:
-                continue
-        cand = TrainTrack(track.name, track.edges, tuple(
-            Switch(s.name, tuple(sides[s.name][0]), tuple(sides[s.name][1]))
-            for s in track.switches
-        ))
+    ws, side_s, idx_s = site[move.slid]
+    v, side_o, _ = site[move.over]
+    sides = {
+        sw.name: (list(sw.side_a), list(sw.side_b))
+        for sw in (track.switch_by_name[ws], track.switch_by_name[v])
+    }
+    del sides[ws][0 if side_s == "A" else 1][idx_s]
+    opp = 1 if side_o == "A" else 0  # the side opposite the over end
+    survivors = []
+    for at in (0, len(sides[v][opp])):
+        new = {name: [list(side) for side in pair] for name, pair in sides.items()}
+        new[v][opp].insert(at, move.slid)
+        # a side left empty, or a move illegal on the candidate, rules it out
         try:
-            redo, morphism = apply_split(cand, move)
-        except IllegalMove:
+            cand = TrainTrack(track.name, track.edges, tuple(
+                Switch(sw.name, tuple(new[sw.name][0]), tuple(new[sw.name][1]))
+                if sw.name in new else sw
+                for sw in track.switches
+            ))
+            if split_switches(cand, move) == track.switches:
+                survivors.append(cand)
+        except (IllegalMove, InvalidTrack):
             continue
-        if all(
-            redo.switch_by_name[s.name].side_a == s.side_a
-            and redo.switch_by_name[s.name].side_b == s.side_b
-            for s in track.switches
-        ):
-            # hand back a morphism whose source is the caller's track object
-            results.append((cand, TrackMorphism(track, cand, morphism.images,
-                                                name=morphism.name)))
-    if not results:
-        raise NoSplitAvailable(f"no track splits to the given one via {move}")
-    uniq = []
-    for cand, morphism in results:
-        if not any(c.canonical_key == cand.canonical_key and
-                   c.switches == cand.switches for c, _ in uniq):
-            uniq.append((cand, morphism))
-    if len(uniq) > 1:
+    if not survivors:
+        raise IllegalMove(
+            f"cannot unsplit {move}: no track splits to the given one",
+            move=move, reason="not-foldable",
+        )
+    if len(survivors) > 1:
         raise IllegalMove(f"unsplit {move} is ambiguous", move=move,
                           reason="ambiguous")
-    return uniq[0]
+    cand = survivors[0]
+    return cand, TrackMorphism(track, cand, _split_images(cand, move),
+                               name=str(move))
 
 
 # ----------------------------------------------------------------------

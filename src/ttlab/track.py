@@ -312,9 +312,8 @@ class TrainTrack:
         # parity(end) = 0 for t(x), 1 for i(x); within a side the value
         # parity(end) + o(label) is constant, across sides it flips.
         color: dict[str, int] = {}
-        comp: dict[str, int] = {}
 
-        def assign(label: str, val: int, cid: int, trail: list[str]):
+        def assign(label: str, val: int, trail: list[str]):
             stack = [(label, val)]
             while stack:
                 lab, v = stack.pop()
@@ -325,7 +324,6 @@ class TrainTrack:
                         )
                     continue
                 color[lab] = v
-                comp[lab] = cid
                 trail.append(lab)
                 for sw in self.switches:
                     for side_idx, side in ((0, sw.side_a), (1, sw.side_b)):
@@ -341,11 +339,9 @@ class TrainTrack:
                                 p2 = 0 if e2[1] == "t" else 1
                                 stack.append((e2[0], (want - p2) % 2))
 
-        cid = 0
         for lab in sorted(self.edges):
             if lab not in color:
-                assign(lab, 0, cid, [])
-                cid += 1
+                assign(lab, 0, [])
         return {lab: (1 if c == 0 else -1) for lab, c in color.items()}
 
     # ------------------------------------------------------------------

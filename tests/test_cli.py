@@ -1,6 +1,9 @@
 """Command line round trips, exit codes, and JSON determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from ttlab.atlas import base_track, s1_moves
 from ttlab.cli import main
@@ -198,3 +201,21 @@ def test_errors_go_to_stderr(capsys):
     assert code == 2
     assert out == ""
     assert "zeta" in err
+
+
+def test_import_needs_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import ttlab.cli\n"
+        "from ttlab import atlas\n"
+        "atlas.phi2()\n"
+        "allowed = set(sys.stdlib_module_names) | {'ttlab', '__main__'}\n"
+        "print(sorted({n.split('.')[0] for n in sys.modules} - allowed))\n"
+    )
+    # -I drops PYTHONPATH and the user site, -S every other site directory
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

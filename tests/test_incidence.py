@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab.atlas import (
     alpha,
@@ -19,6 +21,7 @@ from ttlab.atlas import (
 )
 from ttlab.errors import NoConvergence
 from ttlab.incidence import (
+    IncidenceMatrix,
     dilatation,
     fixed_edge_points,
     incidence_matrix,
@@ -178,3 +181,39 @@ def test_random_split_functoriality():
         for m in reversed(steps[:-1]):
             prod = mat_mult(prod, incidence_matrix(m).data)
         assert incidence_matrix(comp).data == tuple(tuple(r) for r in prod)
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=2),
+                          min_size=n * n, max_size=n * n))
+    return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_square_matrices())
+def test_irreducibility_matches_warshall_closure(data):
+    n = len(data)
+    labels = tuple(f"e{i:02d}" for i in range(n))
+    rep = irreducibility(IncidenceMatrix(labels, labels, data))
+    # reflexive transitive closure, Warshall
+    reach = [[i == j or data[i][j] > 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    classes = {frozenset(j for j in range(n) if reach[i][j] and reach[j][i])
+               for i in range(n)}
+    assert rep.irreducible == all(all(row) for row in reach)
+    assert rep.scc_count == len(classes)
+    if rep.irreducible:
+        assert rep.witness == ()
+        return
+    sinks = [c for c in classes
+             if all(not reach[i][j] or j in c for i in c for j in range(n))]
+    assert rep.witness == min(tuple(sorted(labels[i] for i in c)) for c in sinks)
+    w = {labels.index(lab) for lab in rep.witness}
+    assert 0 < len(w) < n
+    assert all(data[i][j] == 0 for i in w for j in range(n) if j not in w)

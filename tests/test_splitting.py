@@ -109,6 +109,17 @@ def test_unsplit_inverts_every_legal_split():
         assert tracks_equal(back, t)
 
 
+def test_unsplit_rejects_unfoldable_and_unknown_ends():
+    t = base_track()
+    # t(l) sits at v1, the far end t(c) of the over edge at v2
+    with pytest.raises(IllegalMove) as exc:
+        unsplit(t, parse_move("t(l)/i(c)"))
+    assert exc.value.reason == "not-foldable"
+    with pytest.raises(IllegalMove) as exc:
+        unsplit(t, parse_move("t(z)/i(c)"))
+    assert exc.value.reason == "missing-end"
+
+
 def test_s1_runs_from_initial_track():
     run = apply_sequence(initial_track(), s1_moves())
     assert tracks_equal(run.final, base_track())
