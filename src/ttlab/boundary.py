@@ -35,6 +35,7 @@ from .words import (
     find_rotations,
     format_word,
     inverse,
+    substitute,
 )
 
 
@@ -263,7 +264,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
             left_overhang[(i, k)] = ci.fold_depths[k]
 
     # verify the decomposition phi(word(s)) == A word(sigma s) B letter by letter
-    images = {s: m.apply_to_word(w, reduce=False) for s, w in words.items()}
+    images = {s: substitute(w, m.mapping) for s, w in words.items()}
     for s, img in sorted(images.items()):
         mid = words[sigma[s]]
         a = left_overhang[s]

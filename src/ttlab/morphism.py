@@ -52,10 +52,6 @@ class TrackMorphism:
     def mapping(self) -> dict[str, Word]:
         return dict(self.images)
 
-    def apply_to_word(self, word: Word, reduce: bool = True) -> Word:
-        out = substitute(word, self.mapping)
-        return free_reduce(out) if reduce else out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrackMorphism):
             return NotImplemented
@@ -160,13 +156,13 @@ class TrackMorphism:
 # ----------------------------------------------------------------------
 
 
-def identity_morphism(track: TrainTrack, name: str = "id") -> TrackMorphism:
+def identity_morphism(track: TrainTrack) -> TrackMorphism:
     return TrackMorphism(
-        track, track, {lab: ((lab, 1),) for lab in track.edges}, name=name
+        track, track, {lab: ((lab, 1),) for lab in track.edges}, name="id"
     )
 
 
-def compose(outer: TrackMorphism, inner: TrackMorphism, name: str | None = None) -> TrackMorphism:
+def compose(outer: TrackMorphism, inner: TrackMorphism) -> TrackMorphism:
     """outer . inner, defined when inner.target and outer.source agree as
     structures (names are ignored)."""
     if not tracks_equal(inner.target, outer.source):
@@ -177,8 +173,7 @@ def compose(outer: TrackMorphism, inner: TrackMorphism, name: str | None = None)
     images = {
         lab: free_reduce(substitute(w, outer.mapping)) for lab, w in inner.images
     }
-    if name is None:
-        name = f"{outer.name}.{inner.name}" if outer.name and inner.name else ""
+    name = f"{outer.name}.{inner.name}" if outer.name and inner.name else ""
     return TrackMorphism(inner.source, outer.target, images, name=name)
 
 
@@ -213,10 +208,9 @@ def relabel_morphism(src: TrainTrack, mapping: dict[str, str],
                          name=name)
 
 
-def iso_morphism(iso: TrackIso, src: TrainTrack, dst: TrainTrack,
-                 name: str = "") -> TrackMorphism:
+def iso_morphism(iso: TrackIso, src: TrainTrack, dst: TrainTrack) -> TrackMorphism:
     """A TrackIso (src -> dst) as a single-letter morphism."""
     return TrackMorphism(
-        src, dst, {lab: ((iso.labels[lab], 1),) for lab in src.edges}, name=name
+        src, dst, {lab: ((iso.labels[lab], 1),) for lab in src.edges}
     )
 

@@ -23,6 +23,7 @@ from .splitting import (
     SplitMove,
     SplitRun,
     apply_sequence,
+    format_sequence,
     legal_splits,
     split_switches,
 )
@@ -69,7 +70,7 @@ class LoopResult:
 
     @property
     def notation(self) -> str:
-        return "; ".join(str(m) for m in self.sequence)
+        return format_sequence(self.sequence)
 
 
 def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
@@ -89,7 +90,7 @@ def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
         carrier = iso_morphism(iso, seed, run.final)
         sm = TrackMorphism(run.final, run.final,
                            compose(carrier, run.morphism).images,
-                           name=f"loop[{'; '.join(str(m) for m in run.moves)}]")
+                           name=f"loop[{format_sequence(run.moves)}]")
         if cfg.needs_certificates:
             cert = certify(sm, tol=cfg.tolerance)
             if not _admits(cert, cfg):
@@ -214,13 +215,13 @@ def search_loops(seed: TrainTrack,
 
 
 def replay(seed: TrainTrack, moves,
-           identification: TrackIso | dict | None = None,
+           identification: dict[str, str] | None = None,
            config: SearchConfig | None = None) -> LoopResult:
     """Rebuild a LoopResult from a recorded sequence, for audit.
 
     The sequence re-validates move by move (IllegalMove on failure).  When
-    an identification is given, only that closure is packaged; it must be
-    one of the label bijections closing the loop, otherwise
+    an identification (a label dict) is given, only that closure is packaged;
+    it must be one of the label bijections closing the loop, otherwise
     NotAnIdentification.  The certificate is always recomputed.
     """
     cfg = config or SearchConfig()
@@ -230,9 +231,7 @@ def replay(seed: TrainTrack, moves,
         raise NotAnIdentification(
             f"the sequence ends on a track not isomorphic to {seed.name}")
     if identification is not None:
-        want = identification.labels if isinstance(identification, TrackIso) \
-            else dict(identification)
-        isos = tuple(i for i in isos if dict(i.labels) == want)
+        isos = tuple(i for i in isos if i.labels == identification)
         if not isos:
             raise NotAnIdentification(
                 "the given label bijection does not close this loop")

@@ -19,15 +19,13 @@ into the given track.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism, compose, identity_morphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
 from .words import Word, inv_letter
-
-_MOVE_RE = re.compile(r"^\s*([it]\([A-Za-z][A-Za-z0-9_]*\))\s*/\s*([it]\([A-Za-z][A-Za-z0-9_]*\))\s*$")
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,14 @@ class SplitMove:
     def __str__(self) -> str:
         return f"{format_end(self.slid)}/{format_end(self.over)}"
 
-    @property
-    def notation(self) -> str:
-        return str(self)
-
 
 def parse_move(token: str, line: int | None = None, col: int | None = None) -> SplitMove:
-    m = _MOVE_RE.match(token)
-    if not m:
-        raise ParseError(f"bad move token {token!r}, expected like t(a)/i(b)", line, col)
-    return SplitMove(parse_end(m.group(1)), parse_end(m.group(2)))
+    slid, _, over = token.partition("/")
+    try:
+        return SplitMove(parse_end(slid), parse_end(over))
+    except ParseError:
+        raise ParseError(f"bad move token {token!r}, expected like t(a)/i(b)",
+                         line, col) from None
 
 
 def parse_sequence(text: str, line: int = 1) -> tuple[SplitMove, ...]:
@@ -55,34 +51,63 @@ def parse_sequence(text: str, line: int = 1) -> tuple[SplitMove, ...]:
     `line` offsets reported positions when the text sits inside a file."""
     moves = []
     for ln, raw in enumerate(text.splitlines(), start=line):
-        body = raw.split("#", 1)[0]
-        for chunk in body.replace(";", " ").split():
-            col = raw.index(chunk) + 1
+        body = raw.split("#", 1)[0].replace(";", " ")
+        col = 1
+        for chunk in body.split():
+            col = body.index(chunk, col - 1) + 1
             moves.append(parse_move(chunk, ln, col))
+            col += len(chunk)
     return tuple(moves)
 
 
-def format_sequence(moves, sep: str = "; ") -> str:
-    return sep.join(str(m) for m in moves)
+def format_sequence(moves) -> str:
+    return "; ".join(str(m) for m in moves)
 
 
 # ----------------------------------------------------------------------
 
 
-def _move_case(track: TrainTrack, move: SplitMove) -> tuple[str, str]:
-    """Classify a legal move; returns (switch name, "before" | "after").
+def _moves_at(sw: Switch) -> list[tuple[End, End, str]]:
+    """The legal moves at `sw` as (slid, over, case): the ends are
+    ribbon-adjacent at an extremity of a switch of valence >= 4, of
+    different edges, and the slid side keeps an end.
 
     after:  sigma(slid) == over  (pairs A[-1]/B[-1] and B[0]/A[0])
     before: sigma(over) == slid  (pairs B[-1]/A[-1] and A[0]/B[0])
-    Raises IllegalMove otherwise.
     """
+    a, b = sw.side_a, sw.side_b
+    if len(a) + len(b) < 4:
+        return []
+    return [(slid, over, case)
+            for slid_side, slid, over, case in ((a, a[-1], b[-1], "after"),
+                                                (b, b[-1], a[-1], "before"),
+                                                (a, a[0], b[0], "before"),
+                                                (b, b[0], a[0], "after"))
+            if len(slid_side) > 1 and slid[0] != over[0]]
+
+
+def _case(track: TrainTrack, move: SplitMove) -> str | None:
+    """The case of `move` on `track`, None when the move is illegal."""
+    site = track.end_site.get(move.slid)
+    if site is not None:
+        for slid, over, case in _moves_at(track.switch_by_name[site[0]]):
+            if slid == move.slid and over == move.over:
+                return case
+    return None
+
+
+def _check_ends(track: TrainTrack, move: SplitMove) -> None:
+    """Raise IllegalMove when an end of `move` is not on `track`."""
+    for e in (move.slid, move.over):
+        if e not in track.end_site:
+            raise IllegalMove(f"{move}: no end {format_end(e)}", move=move,
+                              reason="missing-end")
+
+
+def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
+    """Raise IllegalMove saying why `move` is not legal on `track`."""
+    _check_ends(track, move)
     site = track.end_site
-    if move.slid not in site:
-        raise IllegalMove(f"{move}: no end {format_end(move.slid)}", move=move,
-                          reason="missing-end")
-    if move.over not in site:
-        raise IllegalMove(f"{move}: no end {format_end(move.over)}", move=move,
-                          reason="missing-end")
     vs, side_s, _ = site[move.slid]
     vo, side_o, _ = site[move.over]
     if move.slid[0] == move.over[0]:
@@ -102,15 +127,6 @@ def _move_case(track: TrainTrack, move: SplitMove) -> tuple[str, str]:
     if len(slid_side) < 2:
         raise IllegalMove(f"{move}: slid side of {vs} would empty out",
                           move=move, reason="thin-side")
-    a, b = sw.side_a, sw.side_b
-    if (move.slid == a[-1] and move.over == b[-1]) or (
-        move.slid == b[0] and move.over == a[0]
-    ):
-        return vs, "after"
-    if (move.slid == b[-1] and move.over == a[-1]) or (
-        move.slid == a[0] and move.over == b[0]
-    ):
-        return vs, "before"
     raise IllegalMove(
         f"{move}: ends are not ribbon-adjacent at an extremity of {vs}",
         move=move, reason="not-adjacent",
@@ -118,23 +134,13 @@ def _move_case(track: TrainTrack, move: SplitMove) -> tuple[str, str]:
 
 
 def is_legal(track: TrainTrack, move: SplitMove) -> bool:
-    try:
-        _move_case(track, move)
-        return True
-    except IllegalMove:
-        return False
+    return _case(track, move) is not None
 
 
 def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
     """All legal moves, sorted by notation for deterministic traversal."""
-    out = []
-    for sw in track.switches:
-        a, b = sw.side_a, sw.side_b
-        for slid, over in ((a[-1], b[-1]), (b[-1], a[-1]), (a[0], b[0]), (b[0], a[0])):
-            mv = SplitMove(slid, over)
-            if is_legal(track, mv):
-                out.append(mv)
-    return tuple(sorted(set(out), key=str))
+    return tuple(sorted((SplitMove(slid, over) for sw in track.switches
+                         for slid, over, _ in _moves_at(sw)), key=str))
 
 
 def _ride_letter(over: End):
@@ -153,35 +159,40 @@ def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
     return images
 
 
-def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
-    """The switches of the track `move` splits `track` into, in the same
-    order and under the same names.  This is the structure-only kernel of
-    apply_split: no track is built or validated.  Switches the move leaves
-    alone are the original objects."""
-    v, case = _move_case(track, move)
-    site = track.end_site
-    far = flip_end(move.over)
-    w, side_f, _ = site[far]
-    sides: dict[str, tuple[list[End], list[End]]] = {
-        sw.name: (list(sw.side_a), list(sw.side_b))
-        for sw in (track.switch_by_name[v], track.switch_by_name[w])
-    }
-    # detach the slid end
-    _, side_s, idx_s = site[move.slid]
-    del sides[v][0 if side_s == "A" else 1][idx_s]
-    # reattach next to the far end of the over edge
-    flist = sides[w][0 if side_f == "A" else 1]
-    p = flist.index(far)
-    if case == "before":
-        # before the far end in the ribbon order
-        flist.insert(p if side_f == "A" else p + 1, move.slid)
-    else:
-        flist.insert(p + 1 if side_f == "A" else p, move.slid)
+def _moved(track: TrainTrack, e: End, dest: str, side: str,
+           at) -> tuple[Switch, ...]:
+    """The switches of `track` with end `e` moved to side `side` of switch
+    `dest`, at index `at(ends)`, where `ends` lists that side once `e` has
+    left.  Switches the edit leaves alone are the original objects."""
+    src, side_e, idx = track.end_site[e]
+    by_name = track.switch_by_name
+    sides = {n: (list(by_name[n].side_a), list(by_name[n].side_b))
+             for n in (src, dest)}
+    del sides[src][0 if side_e == "A" else 1][idx]
+    ends = sides[dest][0 if side == "A" else 1]
+    ends.insert(at(ends), e)
     return tuple(
         Switch(sw.name, tuple(sides[sw.name][0]), tuple(sides[sw.name][1]))
         if sw.name in sides else sw
         for sw in track.switches
     )
+
+
+def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
+    """The switches of the track `move` splits `track` into, in the same
+    order and under the same names.  This is the structure-only kernel of
+    apply_split: no track is built or validated.  Switches the move leaves
+    alone are the original objects."""
+    case = _case(track, move)
+    if case is None:
+        _reject(track, move)
+    # the slid end reattaches next to the far end of the over edge, before
+    # or after it in the ribbon order; side B runs against that order
+    far = flip_end(move.over)
+    w, side_f, _ = track.end_site[far]
+    step = (case == "after") == (side_f == "A")
+    return _moved(track, move.slid, w, side_f,
+                  lambda ends: ends.index(far) + step)
 
 
 def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
@@ -199,30 +210,15 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     Candidates put the slid end at either extremity of the side opposite
     the over end; the one that split_switches takes back to `track` wins.
     """
-    site = track.end_site
-    for e in (move.slid, move.over):
-        if e not in site:
-            raise IllegalMove(f"{move}: no end {format_end(e)}", move=move,
-                              reason="missing-end")
-    ws, side_s, idx_s = site[move.slid]
-    v, side_o, _ = site[move.over]
-    sides = {
-        sw.name: (list(sw.side_a), list(sw.side_b))
-        for sw in (track.switch_by_name[ws], track.switch_by_name[v])
-    }
-    del sides[ws][0 if side_s == "A" else 1][idx_s]
-    opp = 1 if side_o == "A" else 0  # the side opposite the over end
+    _check_ends(track, move)
+    v, side_o, _ = track.end_site[move.over]
+    opp = "B" if side_o == "A" else "A"  # the side opposite the over end
     survivors = []
-    for at in (0, len(sides[v][opp])):
-        new = {name: [list(side) for side in pair] for name, pair in sides.items()}
-        new[v][opp].insert(at, move.slid)
+    for at in ((lambda ends: 0), len):
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
-            cand = TrainTrack(track.name, track.edges, tuple(
-                Switch(sw.name, tuple(new[sw.name][0]), tuple(new[sw.name][1]))
-                if sw.name in new else sw
-                for sw in track.switches
-            ))
+            cand = TrainTrack(track.name, track.edges,
+                              _moved(track, move.slid, v, opp, at))
             if split_switches(cand, move) == track.switches:
                 survivors.append(cand)
         except (IllegalMove, InvalidTrack):

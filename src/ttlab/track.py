@@ -157,6 +157,8 @@ class TrainTrack:
     declared_boundaries: tuple[tuple[str, Word], ...] = field(default=())
 
     def __post_init__(self):
+        if not self.edges:
+            raise InvalidTrack("a track needs at least one edge")
         seen_sw = set()
         for sw in self.switches:
             if sw.name in seen_sw:

@@ -19,11 +19,11 @@ Word = tuple[Letter, ...]
 
 EMPTY: Word = ()
 
-_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def is_label(text: str) -> bool:
-    return bool(_LABEL_RE.match(text))
+    return bool(_LABEL_RE.fullmatch(text))
 
 
 def letter(label: str, sign: int = 1) -> Letter:

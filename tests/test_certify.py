@@ -1,14 +1,17 @@
 """End-to-end certification verdicts and report rendering."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttlab.atlas import base_track, phi, phi1, phi2, phi3, psi, t_ig
+from ttlab.atlas import atlas, base_track, phi, phi1, phi2, phi3, psi, t_ig
 from ttlab.certify import certify, render_text, to_json_dict
 from ttlab.errors import BadIndex, NotASelfMap
 from ttlab.incidence import dilatation, incidence_matrix
-from ttlab.morphism import identity_morphism
+from ttlab.morphism import compose, identity_morphism, relabel_morphism
 
 PHI2_DILATATION = 2.2966302628865
 
@@ -62,6 +65,40 @@ def test_identity_certificate():
     assert len(cert.fixed_edges) == 12
     assert all(count == 1 for _, count in cert.fixed_edges)
     assert cert.irreducibility.scc_count == 12
+
+
+RELABELLED_MAPS = ("phi1", "phi2", "phi3", "phi:5", "phi:7",
+                   "psi:0", "psi:1", "psi:2", "psi:3")
+
+
+@lru_cache(maxsize=None)
+def _atlas_certificate(name):
+    return certify(atlas(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(RELABELLED_MAPS),
+       image=st.permutations("abcdefghijkl"))
+def test_certificate_invariant_under_relabelling(name, image):
+    m = atlas(name)
+    perm = dict(zip("abcdefghijkl", image))
+    there = relabel_morphism(m.source, perm)
+    back = relabel_morphism(there.target, {v: k for k, v in perm.items()})
+    cert = _atlas_certificate(name)
+    moved = certify(compose(there, compose(m, back)))
+    assert moved.verdict == cert.verdict
+    assert moved.fixed_point_free == cert.fixed_point_free
+    assert moved.primitivity == cert.primitivity
+    if cert.perron is None:
+        assert moved.perron is None
+    else:
+        assert (moved.perron.lower, moved.perron.upper,
+                moved.perron.iterations) == \
+            (cert.perron.lower, cert.perron.upper, cert.perron.iterations)
+    for r in cert.matrix.rows:
+        for c in cert.matrix.cols:
+            assert moved.matrix.entry(perm[r], perm[c]) == \
+                cert.matrix.entry(r, c)
 
 
 def test_certify_requires_self_map():

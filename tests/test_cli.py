@@ -196,6 +196,16 @@ def test_exit_code_two_for_bad_input(capsys):
     assert run(capsys, "map", "dilatation", "atlas:phi2", "--tol", "nan")[0] == 2
 
 
+def test_edgeless_track_is_bad_input(capsys, tmp_path):
+    f = tmp_path / "empty.tt"
+    f.write_text("[track e]\nedges =\n\n[map f]\nsource = e\ntarget = e\n")
+    for argv in (("track", "info", str(f)), ("map", "certify", f"{f}#f")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "track 'e': a track needs at least one edge" in err
+
+
 def test_errors_go_to_stderr(capsys):
     code, out, err = run(capsys, "atlas", "export", "zeta")
     assert code == 2

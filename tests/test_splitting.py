@@ -39,6 +39,9 @@ def test_parse_sequence_text():
 def test_parse_sequence_rejects_garbage():
     with pytest.raises(ParseError):
         parse_sequence("i(b)/t(l); nope")
+    for token in ("i(b)", "i(b)/", "i(b)/t(l)/t(c)", "i(b)/t(l\n)", "x(b)/t(l)"):
+        with pytest.raises(ParseError, match="bad move token"):
+            parse_move(token)
 
 
 def test_parse_sequence_line_offset():
@@ -48,6 +51,13 @@ def test_parse_sequence_line_offset():
         assert err.line == 11
     else:
         raise AssertionError("expected ParseError")
+
+
+def test_parse_sequence_reports_the_token_column():
+    # the bad token also occurs inside an earlier one
+    with pytest.raises(ParseError) as exc:
+        parse_sequence("t(a)/i(bb);b")
+    assert (exc.value.line, exc.value.col) == (1, 12)
 
 
 def test_legal_split_counts():
@@ -62,6 +72,40 @@ def test_illegal_move_rejected():
     assert not is_legal(t, mv)
     with pytest.raises(IllegalMove):
         apply_split(t, mv)
+
+
+# (moves from tau to the track, the move, its reason, its message)
+ILLEGAL = [
+    ("", "t(z)/i(c)", "missing-end", "t(z)/i(c): no end t(z)"),
+    ("", "t(c)/i(z)", "missing-end", "t(c)/i(z): no end i(z)"),
+    ("", "t(a)/i(a)", "same-edge",
+     "t(a)/i(a): cannot slide an edge over itself"),
+    ("", "t(l)/i(b)", "different-switches",
+     "t(l)/i(b): ends sit at different switches v1, v3"),
+    ("", "t(l)/t(e)", "same-side", "t(l)/t(e): ends sit on the same side"),
+    ("t(e)/i(a)", "t(l)/i(c)", "valence",
+     "t(l)/i(c): switch v1 has valence 3 < 4"),
+    ("t(e)/i(a); i(e)/t(a)", "i(d)/t(c)", "thin-side",
+     "i(d)/t(c): slid side of v2 would empty out"),
+    ("", "t(l)/i(a)", "not-adjacent",
+     "t(l)/i(a): ends are not ribbon-adjacent at an extremity of v1"),
+    ("t(e)/i(a)", "t(e)/i(d)", "not-adjacent",
+     "t(e)/i(d): ends are not ribbon-adjacent at an extremity of v2"),
+]
+
+
+@pytest.mark.parametrize("prefix, token, reason, message", ILLEGAL,
+                         ids=[f"{c[2]}:{c[1]}" for c in ILLEGAL])
+def test_every_illegal_move_reason(prefix, token, reason, message):
+    t = apply_sequence(base_track(), parse_sequence(prefix)).final
+    mv = parse_move(token)
+    assert not is_legal(t, mv)
+    assert mv not in legal_splits(t)
+    with pytest.raises(IllegalMove) as exc:
+        apply_split(t, mv)
+    assert exc.value.reason == reason
+    assert str(exc.value) == message
+    assert exc.value.move == mv
 
 
 def test_apply_sequence_reports_failing_index():
@@ -181,3 +225,39 @@ def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
         assert split_switches(t, mv) == child.switches
         assert unsplit(child, mv)[0].canonical_key == t.canonical_key
         t = child
+
+
+def _picked_walk(t, picks):
+    """A legal walk from `t`, each move the pick-th option modulo their
+    number; returns the moves and the final track."""
+    moves = []
+    for pick in picks:
+        options = legal_splits(t)
+        moves.append(options[pick % len(options)])
+        t, _ = apply_split(t, moves[-1])
+    return tuple(moves), t
+
+
+STARTS = st.sampled_from([base_track, twisted_track, initial_track])
+PICKS = st.lists(st.integers(min_value=0, max_value=10**6), max_size=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=STARTS, picks=PICKS)
+def test_legal_splits_are_exactly_the_legal_moves(start, picks):
+    _, t = _picked_walk(start(), picks)
+    legal = set(legal_splits(t))
+    for slid in t.end_site:
+        for over in t.end_site:
+            mv = SplitMove(slid, over)
+            assert is_legal(t, mv) == (mv in legal)
+            if mv not in legal:
+                with pytest.raises(IllegalMove):
+                    apply_split(t, mv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=STARTS, picks=PICKS)
+def test_sequence_text_round_trip(start, picks):
+    moves, _ = _picked_walk(start(), picks)
+    assert parse_sequence(format_sequence(moves)) == moves

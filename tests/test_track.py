@@ -188,6 +188,11 @@ def test_every_end_placed_exactly_once():
         ).validate()
 
 
+def test_track_needs_an_edge():
+    with pytest.raises(InvalidTrack, match="at least one edge"):
+        TrainTrack("empty", (), ())
+
+
 def test_duplicate_switch_name_rejected():
     sw = Switch("v", (end("a", "i"),), (end("a", "t"),))
     with pytest.raises(InvalidTrack):

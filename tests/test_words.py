@@ -42,6 +42,8 @@ def test_parse_rejects_garbage():
         parse_letter("--a")
     with pytest.raises(ParseError):
         parse_letter("")
+    with pytest.raises(ParseError):
+        parse_letter("a\n")
 
 
 def test_parse_error_carries_position():
