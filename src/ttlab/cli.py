@@ -19,7 +19,7 @@ import sys
 from . import atlas as _atlas
 from .boundary import boundary_action
 from .certify import certify, render_text, to_json_dict
-from .errors import BadIndex, ParseError, TrackError, UnknownEntry
+from .errors import BadIndex, NotASelfMap, ParseError, TrackError, UnknownEntry
 from .fileio import (
     dump_map,
     dump_sequence,
@@ -29,7 +29,7 @@ from .fileio import (
     resolve_track,
     track_to_dot,
 )
-from .incidence import dilatation, incidence_matrix
+from .incidence import check_tolerance, dilatation, incidence_matrix
 from .morphism import TrackMorphism, compose_chain
 from .search import SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
@@ -191,6 +191,9 @@ def cmd_map_certify(args) -> int:
 
 def cmd_map_dilatation(args) -> int:
     m = resolve_map(args.spec)
+    check_tolerance(args.tol)  # exit 2 on a bad --tol, as certify does
+    if not m.is_self_map:
+        raise NotASelfMap("dilatation needs a self map")
     mat = incidence_matrix(m)
     perron = dilatation(mat, tol=args.tol)
     if args.json:

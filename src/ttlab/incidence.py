@@ -9,7 +9,11 @@ smooth paths guarantee:
 
 All certification arithmetic is exact: the dilatation is bracketed by
 Collatz-Wielandt quotients of an integer iteration vector, so `lower` and
-`upper` are true rational bounds, not floating point estimates.
+`upper` are true rational bounds, not floating point estimates.  The
+iteration multiplies by the nonzero entries only.  Floats only pick which
+quotients can be the least and the greatest; integer cross-multiplication
+settles the pick, and the bounds stay (numerator, denominator) pairs until
+the bracket is returned.
 """
 
 from __future__ import annotations
@@ -170,10 +174,28 @@ def check_tolerance(tol: float) -> None:
         raise BadIndex(f"tolerance must be finite and positive, got {tol!r}")
 
 
-def _cw_bounds(a: Matrix, v: list[int]) -> tuple[Fraction, Fraction, list[int]]:
-    w = [sum(x * y for x, y in zip(row, v)) for row in a]
-    quots = [Fraction(wi, vi) for wi, vi in zip(w, v)]
-    return min(quots), max(quots), w
+Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
+
+
+def _cw_bounds(rows: list[list[tuple[int, int]]],
+               v: list[int]) -> tuple[Pair, Pair, list[int]]:
+    """The least and greatest quotient w[i] / v[i], w = M v, as pairs.
+
+    `int / int` rounds correctly, and correct rounding is monotone, so the
+    float of the exact least quotient is the least float: the exact extreme
+    is among the quotients whose float equals the float extreme.  Usually
+    that is one quotient; ties are settled by cross-multiplication.
+    """
+    w = [sum(x * v[j] for j, x in row) for row in rows]
+    q = [wi / vi for wi, vi in zip(w, v)]
+    q_lo, q_hi = min(q), max(q)
+    lo = hi = None
+    for qi, wi, vi in zip(q, w, v):
+        if qi == q_lo and (lo is None or wi * lo[1] < lo[0] * vi):
+            lo = (wi, vi)
+        if qi == q_hi and (hi is None or wi * hi[1] > hi[0] * vi):
+            hi = (wi, vi)
+    return lo, hi, w
 
 
 def _shrink(v: list[int]) -> list[int]:
@@ -189,7 +211,7 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
 
     Integer power iteration; at every step the Collatz-Wielandt quotients
     of the exact vector give true lower and upper bounds.  Stops when the
-    bracket is narrower than `tol`.
+    bracket is narrower than `tol`.  A Perron root of 0 raises NotPrimitive.
     """
     check_tolerance(tol)
     rep = irreducibility(mat)
@@ -199,20 +221,25 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
             witness=list(rep.witness),
         )
     a = mat.data
+    if not all(any(row) for row in a):
+        # irreducible with a zero row: the 1x1 zero matrix
+        raise NotPrimitive("Perron root is 0")
     n = len(a)
-    tol_f = Fraction(tol)  # binary floats are exact rationals
+    tn, td = Fraction(tol).as_integer_ratio()  # binary floats are exact
 
     def bracket(matrix: Matrix) -> tuple[Fraction, Fraction, list[int], int]:
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
         v = [1] * n
-        lo_best, hi_best = Fraction(0), None
+        ln, ld, hn, hd = 0, 1, 1, 0  # best lo so far 0, best hi +infinity
         for it in range(1, max_iterations + 1):
-            lo, hi, w = _cw_bounds(matrix, v)
-            if lo > lo_best:
-                lo_best = lo
-            if hi_best is None or hi < hi_best:
-                hi_best = hi
-            if hi_best - lo_best < tol_f and lo_best > 0:
-                return lo_best, hi_best, v, it
+            (wl, vl), (wh, vh), w = _cw_bounds(rows, v)
+            if wl * ld > ln * vl:
+                ln, ld = wl, vl
+            if wh * hd < hn * vh:
+                hn, hd = wh, vh
+            # hi - lo < tol, over the common denominator hd * ld * td
+            if (hn * ld - ln * hd) * td < tn * hd * ld and ln > 0:
+                return Fraction(ln, ld), Fraction(hn, hd), v, it
             v = _shrink(w)
         raise NoConvergence(
             f"dilatation bracket did not reach tol={tol} in {max_iterations} steps"

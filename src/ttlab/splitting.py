@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
-from .morphism import TrackMorphism, compose, identity_morphism
+from .morphism import TrackMorphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
-from .words import Word, inv_letter
+from .words import Word, free_reduce, inv_letter, substitute
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,15 @@ def _ride_letter(over: End):
     return (y, 1) if kind == "i" else (y, -1)
 
 
+def _slid_image(move: SplitMove) -> Word:
+    """The image of the slid edge under the move's morphism."""
+    x, r = move.slid[0], _ride_letter(move.over)
+    return ((x, 1), r) if move.slid[1] == "t" else (inv_letter(r), (x, 1))
+
+
 def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
-    x = move.slid[0]
-    r = _ride_letter(move.over)
     images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
-    if move.slid[1] == "t":
-        images[x] = ((x, 1), r)
-    else:
-        images[x] = (inv_letter(r), (x, 1))
+    images[move.slid[0]] = _slid_image(move)
     return images
 
 
@@ -249,17 +250,23 @@ class SplitRun:
 
 def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
-    to the start.  IllegalMove carries the index and the track reached."""
+    to the start.  IllegalMove carries the index and the track reached.
+
+    A move changes only the image of its slid edge, so the composite is
+    kept as one image per edge and each move rewrites one of them."""
     current = track
-    composite = identity_morphism(track)
+    images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
-            current, step = apply_split(current, mv)
+            current = TrainTrack(current.name, current.edges,
+                                 split_switches(current, mv))
         except IllegalMove as exc:
             raise IllegalMove(
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
                 track=current,
             ) from exc
-        composite = compose(composite, step)
-    return SplitRun(track, current, mv_tuple, composite)
+        images[mv.slid[0]] = free_reduce(substitute(_slid_image(mv), images))
+    name = ".".join(["id"] + [str(mv) for mv in mv_tuple])
+    return SplitRun(track, current, mv_tuple,
+                    TrackMorphism(current, track, images, name=name))

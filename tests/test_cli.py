@@ -1,13 +1,17 @@
 """Command line round trips, exit codes, and JSON determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from ttlab.atlas import base_track, s1_moves
+import pytest
+
+from ttlab.atlas import alpha, base_track, phi2, s1_moves, twisted_track
 from ttlab.cli import main
-from ttlab.fileio import dump_sequence, dump_track, parse_document
+from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
+from ttlab.morphism import compose
 
 
 def run(capsys, *argv):
@@ -85,6 +89,40 @@ def test_map_dilatation_json_deterministic(capsys):
     assert set(data["weights"]) == set("abcdefghijkl")
 
 
+def test_non_self_map_has_no_dilatation(capsys, tmp_path):
+    f = tmp_path / "ap.tt"
+    f.write_text(dump_track(base_track()) + "\n" + dump_track(twisted_track())
+                 + "\n" + dump_map(compose(phi2(), alpha()), "ap"))
+    for cmd, what in (("certify", "certification"),
+                      ("dilatation", "dilatation")):
+        code, out, err = run(capsys, "map", cmd, f"{f}#ap")
+        assert (code, out) == (1, "")
+        assert f"error: {what} needs a self map" in err
+        assert run(capsys, "map", cmd, f"{f}#ap", "--tol", "nan")[0] == 2
+
+
+# SHA-256 of `ttlab map certify atlas:NAME --json` stdout, frozen from the
+# Fraction-only Perron bracket: the float-picked bracket must print the same
+# certificate bytes.
+CERTIFICATE_SHA256 = {
+    "beta": "70519b27fbd50a4901fbec1cccb8cb9c6deb40d2c56f8aa5d18ae7b6a1fcafff",
+    "phi1": "cd158b86441a6fb445e165a2c250d221e5b38fbc733d0195fe5c34cfb2520d17",
+    "phi2": "72f00a89a31f9c716b9e5b83fcbcbeb6b2569d7c68812212385f82ce799254e7",
+    "phi3": "6b8e9e2fc3cb6dd17b38c0a527c77aed4609d48453d96f2ddc5aa71e63b54ec4",
+    "phi:161":
+        "c0e8cd044854a00ed92ceb282d521caf30f217b9c5a9be20976f44acd14461e6",
+    "psi:40":
+        "af211c11249345c3c858424d501bfa6a68bb0f5ee625050c48530e318f5e91bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_frozen(capsys, name):
+    code, out, _ = run(capsys, "map", "certify", f"atlas:{name}", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFICATE_SHA256[name]
+
+
 def test_map_compose(capsys):
     code, out, _ = run(capsys, "map", "compose",
                        "atlas:alpha", "atlas:phi1", "atlas:t_ig",
@@ -94,7 +132,6 @@ def test_map_compose(capsys):
                          + dump_track(base_track().relabel(
                              {"i": "g", "g": "i"}, name="tau_prime")) + "\n"
                          + out)
-    from ttlab.atlas import phi2
     assert doc.maps["composite"].mapping == phi2().mapping
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from ttlab.atlas import (
     t_gi,
     t_ig,
 )
-from ttlab.errors import NoConvergence
+from ttlab.errors import NoConvergence, NotPrimitive
 from ttlab.incidence import (
     IncidenceMatrix,
+    PerronData,
     dilatation,
     fixed_edge_points,
     incidence_matrix,
@@ -163,6 +165,12 @@ def test_dilatation_max_iterations():
         dilatation(incidence_matrix(phi2()), tol=1e-10, max_iterations=3)
 
 
+def test_zero_perron_root_is_not_primitive():
+    # irreducible (one node reaches itself) but nilpotent
+    with pytest.raises(NotPrimitive, match="Perron root is 0"):
+        dilatation(IncidenceMatrix(("a",), ("a",), ((0,),)))
+
+
 def test_random_split_functoriality():
     # composite of elementary splits: the matrix of the composition is the
     # product of the step matrices, outermost last
@@ -217,3 +225,88 @@ def test_irreducibility_matches_warshall_closure(data):
     w = {labels.index(lab) for lab in rep.witness}
     assert 0 < len(w) < n
     assert all(data[i][j] == 0 for i in w for j in range(n) if j not in w)
+
+
+def _fraction_dilatation(mat, tol, max_iterations):
+    """The Perron bracket with a reduced Fraction for every Collatz-Wielandt
+    quotient: the reference that `dilatation`, which picks the extremes by
+    float and settles them in integers, must match field by field."""
+    a = mat.data
+    n = len(a)
+    tol_f = Fraction(tol)
+
+    def bracket(matrix):
+        v = [1] * n
+        lo_best, hi_best = Fraction(0), None
+        for it in range(1, max_iterations + 1):
+            w = [sum(x * y for x, y in zip(row, v)) for row in matrix]
+            quots = [Fraction(wi, vi) for wi, vi in zip(w, v)]
+            lo, hi = min(quots), max(quots)
+            if lo > lo_best:
+                lo_best = lo
+            if hi_best is None or hi < hi_best:
+                hi_best = hi
+            if hi_best - lo_best < tol_f and lo_best > 0:
+                return lo_best, hi_best, v, it
+            g = 0
+            for x in w:
+                g = gcd(g, x)
+            v = [x // g for x in w] if g > 1 else w
+        raise NoConvergence(
+            f"dilatation bracket did not reach tol={tol} in {max_iterations} steps"
+        )
+
+    lower, upper, _, iters = bracket(a)
+    lo_t, hi_t, vt, _ = bracket(tuple(zip(*a)))
+    lower = max(lower, lo_t)
+    upper = min(upper, hi_t)
+    if lower > upper:
+        raise NoConvergence("transpose bracket disagrees, tolerance too loose")
+    total = sum(vt)
+    return PerronData(float((lower + upper) / 2), lower, upper, iters,
+                      tuple(x / total for x in vt))
+
+
+@st.composite
+def _irreducible_matrices(draw):
+    """Random matrices made irreducible by a cycle through every node.  The
+    tie-heavy kinds keep several quotients exactly equal at every step:
+    equal row sums make all of them equal at once, and a matrix invariant
+    under swapping node pairs keeps each pair's quotients equal."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    top = draw(st.sampled_from([2, 10**4]))
+    kind = draw(st.sampled_from(["plain", "equal-row-sums", "swap-symmetric"]))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=top),
+                          min_size=n * n, max_size=n * n))
+    a = [cells[i * n:(i + 1) * n] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    for k in range(n):
+        a[order[k]][order[(k + 1) % n]] += 1
+    if kind == "equal-row-sums":
+        s = max(sum(row) for row in a)
+        for i in range(n):
+            a[i][i] += s - sum(a[i])
+    elif kind == "swap-symmetric":
+        swap = list(range(n))
+        for k in range(0, n - 1, 2):
+            swap[order[k]], swap[order[k + 1]] = order[k + 1], order[k]
+        a = [[a[i][j] + a[swap[i]][swap[j]] for j in range(n)]
+             for i in range(n)]
+    return tuple(tuple(row) for row in a)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoConvergence as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_irreducible_matrices(),
+       tol=st.sampled_from([0.5, 1e-3, 1e-10, 1e-30]))
+def test_dilatation_matches_fraction_reference(data, tol):
+    labels = tuple(f"e{i}" for i in range(len(data)))
+    mat = IncidenceMatrix(labels, labels, data)
+    assert _outcome(dilatation, mat, tol, 300) == \
+        _outcome(_fraction_dilatation, mat, tol, 300)

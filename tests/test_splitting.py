@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ttlab.atlas import base_track, initial_track, s1_moves, twisted_track
 from ttlab.errors import IllegalMove, ParseError
+from ttlab.morphism import compose, identity_morphism
 from ttlab.splitting import (
     SplitMove,
     apply_sequence,
@@ -261,3 +262,21 @@ def test_legal_splits_are_exactly_the_legal_moves(start, picks):
 def test_sequence_text_round_trip(start, picks):
     moves, _ = _picked_walk(start(), picks)
     assert parse_sequence(format_sequence(moves)) == moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=STARTS,
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
+def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
+    t0 = start()
+    moves, _ = _picked_walk(t0, picks)
+    run = apply_sequence(t0, moves)
+    # reference: compose every step's morphism onto the identity
+    t, composite = t0, identity_morphism(t0)
+    for mv in moves:
+        t, step = apply_split(t, mv)
+        composite = compose(composite, step)
+    assert run.final.switches == t.switches
+    assert run.morphism == composite
+    assert run.morphism.name == composite.name
+    assert run.morphism.source is run.final and run.morphism.target is t0
