@@ -28,6 +28,7 @@ from .incidence import (
     PerronData,
     PrimitivityReport,
     check_tolerance,
+    decimal_text,
     dilatation,
     fixed_edge_points,
     incidence_matrix,
@@ -172,7 +173,7 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
 
 
 def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{decimal_text(f.numerator)}/{decimal_text(f.denominator)}"
 
 
 def render_text(cert: Certificate) -> str:

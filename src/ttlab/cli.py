@@ -29,7 +29,12 @@ from .fileio import (
     resolve_track,
     track_to_dot,
 )
-from .incidence import check_tolerance, dilatation, incidence_matrix
+from .incidence import (
+    check_tolerance,
+    dilatation,
+    fraction_text,
+    incidence_matrix,
+)
 from .morphism import TrackMorphism, compose_chain
 from .search import SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
@@ -200,8 +205,8 @@ def cmd_map_dilatation(args) -> int:
         _emit_json(
             {
                 "value": perron.value,
-                "lower": str(perron.lower),
-                "upper": str(perron.upper),
+                "lower": fraction_text(perron.lower),
+                "upper": fraction_text(perron.upper),
                 "iterations": perron.iterations,
                 "weights": dict(zip(mat.rows, perron.weights)),
             },
@@ -210,7 +215,8 @@ def cmd_map_dilatation(args) -> int:
     else:
         _emit(
             f"dilatation = {perron.value:.12f}\n"
-            f"certified bracket [{perron.lower}, {perron.upper}] "
+            f"certified bracket [{fraction_text(perron.lower)}, "
+            f"{fraction_text(perron.upper)}] "
             f"(width {float(perron.width):.3e}, "
             f"{perron.iterations} iterations)",
             args.out,
@@ -517,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="seed track")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--max-nodes", type=int, default=SearchConfig.max_nodes,
-                   help="stop after expanding this many tracks "
-                        f"(default {SearchConfig.max_nodes})")
+                   help="stop after expanding this many tracks, at least "
+                        f"1 (default {SearchConfig.max_nodes})")
     p.add_argument("--no-certify", action="store_true",
                    help="skip certifying the loop self maps")
     p.add_argument("--fpf", action="store_true",

@@ -167,6 +167,33 @@ class PerronData:
         return self.upper - self.lower
 
 
+# Digits converted per str() call in decimal_text: below the least cap on
+# int-to-str conversion that Python accepts (640 digits).
+_DIGITS = 600
+_BLOCK = 10 ** _DIGITS
+
+
+def decimal_text(n: int) -> str:
+    """`n` >= 0 in decimal, however many digits it has.
+
+    str() refuses an int past the interpreter's int-to-str digit cap (4,300
+    by default), and long Perron brackets pass it.  Converting in blocks of
+    600 digits stays under any cap and leaves the cap as it was."""
+    blocks = []
+    while n >= _BLOCK:
+        n, low = divmod(n, _BLOCK)
+        blocks.append(f"{low:0{_DIGITS}d}")
+    blocks.append(str(n))
+    return "".join(reversed(blocks))
+
+
+def fraction_text(f: Fraction) -> str:
+    """str(f) for f >= 0, past the interpreter's int-to-str digit cap."""
+    if f.denominator == 1:
+        return decimal_text(f.numerator)
+    return f"{decimal_text(f.numerator)}/{decimal_text(f.denominator)}"
+
+
 def check_tolerance(tol: float) -> None:
     """A bracket width must be finite and positive; zero or less never
     converges, and NaN or infinity has no exact rational value."""

@@ -13,6 +13,7 @@ are then replayed from the seed, one by one, to build their maps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .certify import Certificate, certify
@@ -22,12 +23,12 @@ from .morphism import TrackMorphism, compose, iso_morphism
 from .splitting import (
     SplitMove,
     SplitRun,
+    _moves_at,
     apply_sequence,
     format_sequence,
-    legal_splits,
     split_switches,
 )
-from .track import Switch, TrackIso, TrainTrack, isomorphisms, side_profile
+from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
 
 
 # Deepest search accepted.  Each level multiplies the tracks to expand
@@ -116,12 +117,30 @@ def _structure_key(switches: tuple[Switch, ...]) -> str:
 
     Splitting keeps switch names and their order, so within one search two
     tracks share a key exactly when they agree switch by switch."""
-    parts = []
-    for sw in switches:
-        a, b = sw.canonical_presentation()
-        parts.append(f"{sw.name}:{','.join(k + lab for lab, k in a)}"
-                     f"/{','.join(k + lab for lab, k in b)}")
-    return ";".join(parts)
+    return ";".join(sw.structure_text for sw in switches)
+
+
+def _leaf_moves(track: TrainTrack):
+    """Each legal move on `track` as (slid, over, profile), where `profile`
+    lists the side sizes, sorted, of the track the move splits into.
+
+    The profile comes from side-size arithmetic, without splitting: the
+    slid end leaves its side, whose other ends stay, and joins the side of
+    the over edge's far end, which may be the side it left."""
+    sizes: list[int] = []
+    side_of: dict[End, int] = {}
+    for sw in track.switches:
+        for side in (sw.side_a, sw.side_b):
+            for e in side:
+                side_of[e] = len(sizes)
+            sizes.append(len(side))
+    for sw in track.switches:
+        for slid, over, _ in _moves_at(sw):
+            profile = sizes.copy()
+            profile[side_of[slid]] -= 1
+            profile[side_of[flip_end(over)]] += 1
+            profile.sort()
+            yield slid, over, profile
 
 
 class _LoopSearch:
@@ -130,14 +149,19 @@ class _LoopSearch:
     A suffix of a track is a sequence of 1 up to the remaining depth moves
     that ends on a track isomorphic to the seed.  `memo[r]` maps the key of
     a track met with r >= 1 moves left to its suffixes, plus the empty one
-    when the track itself closes.  Leaves (no move left) get no entry: their
-    side profile is read off the kernel's switches, and only a match builds
-    a track, whose closure test `closes` keeps under its key.
+    when the track itself closes.  Leaves (no move left) get no entry: with
+    one move left, each move's side profile is worked out from the parent's
+    side sizes, and only a move whose profile matches the seed's is split.
+    Its closure test, which builds a track, is kept under its key in
+    `closes`.  A move replaces at most two of a track's side sizes, so a track
+    with more than two sizes the seed lacks has no closing move and is not
+    walked.
     """
 
     def __init__(self, seed: TrainTrack, cfg: SearchConfig):
         self.seed = seed
-        self.profile = seed.side_profile
+        self.profile = list(seed.side_profile)  # as _leaf_moves gives it
+        self.seed_sizes = Counter(self.profile)
         self.max_nodes = cfg.max_nodes
         self.nodes = 0
         self.memo: list[dict[str, tuple]] = [{} for _ in range(cfg.max_depth)]
@@ -151,13 +175,11 @@ class _LoopSearch:
                 f"search expanded more than {self.max_nodes} tracks")
         return TrainTrack(self.seed.name, self.seed.edges, switches)
 
-    def _closes(self, switches: tuple[Switch, ...], key: str | None = None,
+    def _closes(self, switches: tuple[Switch, ...], key: str,
                 track: TrainTrack | None = None) -> bool:
-        """Whether the track on `switches` is isomorphic to the seed; a
-        caller that already holds its key or its track passes them."""
-        if side_profile(switches) != self.profile:
-            return False
-        key = key or _structure_key(switches)
+        """Whether the track on `switches`, whose side profile matches the
+        seed's, is isomorphic to the seed; a caller that already holds the
+        track passes it."""
         hit = self.closes.get(key)
         if hit is None:
             hit = bool(isomorphisms(self.seed, track or self._track(switches)))
@@ -168,22 +190,32 @@ class _LoopSearch:
                  depth: int) -> tuple[tuple[SplitMove, ...], ...]:
         """The closing suffixes of `track`, with `depth` >= 1 moves left."""
         found = []
-        for mv in legal_splits(track):
-            switches = split_switches(track, mv)
-            if depth == 1:
-                if self._closes(switches):
-                    found.append((mv,))
-                continue
-            key = _structure_key(switches)
-            memo = self.memo[depth - 1]
-            tail = memo.get(key)
-            if tail is None:
-                child = self._track(switches)
-                tail = self.suffixes(child, depth - 1)
-                if self._closes(switches, key, child):
-                    tail = ((),) + tail
-                memo[key] = tail
-            found.extend((mv,) + s for s in tail)
+        if depth == 1:
+            lacking = Counter(track.side_profile) - self.seed_sizes
+            if sum(lacking.values()) > 2:
+                return ()
+            for slid, over, profile in _leaf_moves(track):
+                if profile == self.profile:
+                    mv = SplitMove(slid, over)
+                    switches = split_switches(track, mv)
+                    if self._closes(switches, _structure_key(switches)):
+                        found.append((mv,))
+            return tuple(found)
+        memo = self.memo[depth - 1]
+        for sw in track.switches:
+            for slid, over, _ in _moves_at(sw):
+                mv = SplitMove(slid, over)
+                switches = split_switches(track, mv)
+                key = _structure_key(switches)
+                tail = memo.get(key)
+                if tail is None:
+                    child = self._track(switches)
+                    tail = self.suffixes(child, depth - 1)
+                    if (child.side_profile == self.seed.side_profile
+                            and self._closes(switches, key, child)):
+                        tail = ((),) + tail
+                    memo[key] = tail
+                found.extend((mv,) + s for s in tail)
         # most tracks close nothing; tuple() of an empty list is the one
         # shared empty tuple, so those memo entries cost no value object
         return tuple(found)
@@ -195,14 +227,17 @@ def search_loops(seed: TrainTrack,
 
     The result tuple is deterministic: sorted by move notation.  Raises
     BadIndex for a depth outside 0..MAX_DEPTH or a tolerance that is not
-    finite and positive, and ResourceLimit once more than `max_nodes`
-    tracks are expanded.
+    finite and positive or a node budget below 1, and ResourceLimit once
+    more than `max_nodes` tracks are expanded.
     """
     cfg = config or SearchConfig()
     check_tolerance(cfg.tolerance)
     if not 0 <= cfg.max_depth <= MAX_DEPTH:
         raise BadIndex(f"search depth must be between 0 and {MAX_DEPTH}, "
                        f"got {cfg.max_depth}")
+    if cfg.max_nodes < 1:
+        raise BadIndex("search node budget must be at least 1, "
+                       f"got {cfg.max_nodes}")
     found = _LoopSearch(seed, cfg).suffixes(seed, cfg.max_depth) \
         if cfg.max_depth else ()
     results: list[LoopResult] = []

@@ -87,6 +87,15 @@ class Switch:
     def canonical_presentation(self) -> tuple:
         return min(self.presentations())
 
+    @cached_property
+    def structure_text(self) -> str:
+        """The name and canonical presentation in one string, built once
+        per switch; a split reuses the switches it leaves alone, so the
+        split track builds it only for the ones the move rebuilt."""
+        a, b = self.canonical_presentation()
+        return (f"{self.name}:{','.join(k + lab for lab, k in a)}"
+                f"/{','.join(k + lab for lab, k in b)}")
+
 
 def side_profile(switches) -> tuple[int, ...]:
     """Sorted multiset of the side sizes of `switches`."""

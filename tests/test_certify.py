@@ -1,5 +1,8 @@
 """End-to-end certification verdicts and report rendering."""
 
+import json
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlab.atlas import atlas, base_track, phi, phi1, phi2, phi3, psi, t_ig
-from ttlab.certify import certify, render_text, to_json_dict
+from ttlab.certify import certify, render_text, to_json, to_json_dict
 from ttlab.errors import BadIndex, NotASelfMap
 from ttlab.incidence import dilatation, incidence_matrix
 from ttlab.morphism import compose, identity_morphism, relabel_morphism
@@ -194,3 +197,19 @@ def test_json_dict_reducible():
     assert d["dilatation"] is None
     assert d["primitive"] is None
     assert sorted(d["invariantWitness"]) == sorted("acdfghjkl")
+
+
+def test_brackets_past_the_int_str_digit_cap_render_exactly():
+    # a numerator of 5,001 digits is past str()'s default cap of 4,300
+    cap = sys.get_int_max_str_digits()
+    cert = certify(phi2())
+    lower = Fraction(10**5000 + 1, 3)
+    upper = Fraction(10**5000 + 2, 3)  # a whole number
+    cert = replace(cert, perron=replace(cert.perron, lower=lower, upper=upper))
+    want = "1" + "0" * 4999 + "1/3"
+    assert f"dilatation: {cert.perron.value:.12f} in [{want}, " \
+        in render_text(cert)
+    dil = json.loads(to_json(cert))["dilatation"]
+    assert dil["lower"] == want
+    assert dil["upper"] == "3" * 4999 + "4/1"
+    assert sys.get_int_max_str_digits() == cap

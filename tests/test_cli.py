@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ttlab.atlas import alpha, base_track, phi2, s1_moves, twisted_track
 from ttlab.cli import main
 from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
+from ttlab.incidence import PerronData
 from ttlab.morphism import compose
 
 
@@ -218,10 +220,28 @@ def test_search_loops_budget_and_bad_parameters(capsys):
                        "--depth", "30", "--no-certify", "--max-nodes", "200")
     assert code == 1
     assert "expanded more than 200 tracks" in err
-    for extra in (["--depth", "1", "--tol", "nan"], ["--depth", "-1"]):
+    for extra in (["--depth", "1", "--tol", "nan"], ["--depth", "-1"],
+                  ["--depth", "2", "--max-nodes", "0"],
+                  ["--depth", "2", "--max-nodes", "-5"]):
         code, _, _ = run(capsys, "search", "loops", "atlas:tau_prime",
                          "--no-certify", *extra)
         assert code == 2
+
+
+def test_dilatation_bracket_past_the_digit_cap(capsys, monkeypatch):
+    # a bracket whose numerators are past str()'s default cap of 4,300
+    big = PerronData(value=3.0, lower=Fraction(10**5000 + 1, 3),
+                     upper=Fraction(10**5000 + 2, 3), iterations=9,
+                     weights=(1 / 12,) * 12)
+    monkeypatch.setattr("ttlab.cli.dilatation", lambda mat, tol: big)
+    code, out, _ = run(capsys, "map", "dilatation", "atlas:phi2")
+    assert code == 0
+    lower, upper = "1" + "0" * 4999 + "1/3", "3" * 4999 + "4"
+    assert f"certified bracket [{lower}, {upper}] (width" in out
+    code, out, _ = run(capsys, "map", "dilatation", "atlas:phi2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lower"], doc["upper"]) == (lower, upper)
 
 
 def test_exit_code_two_for_bad_input(capsys):

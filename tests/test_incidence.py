@@ -1,6 +1,7 @@
 """Incidence matrices: functoriality, irreducibility, Perron data."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,7 @@ from ttlab.errors import NoConvergence, NotPrimitive
 from ttlab.incidence import (
     IncidenceMatrix,
     PerronData,
+    decimal_text,
     dilatation,
     fixed_edge_points,
     incidence_matrix,
@@ -310,3 +312,16 @@ def test_dilatation_matches_fraction_reference(data, tol):
     mat = IncidenceMatrix(labels, labels, data)
     assert _outcome(dilatation, mat, tol, 300) == \
         _outcome(_fraction_dilatation, mat, tol, 300)
+
+
+def test_decimal_text_is_str_past_any_digit_cap():
+    cap = sys.get_int_max_str_digits()
+    try:
+        for n in (0, 7, 10**599, 10**600 - 1, 10**600, 10**600 + 1,
+                  10**1200, 3**20000, 7**9000 - 1):
+            sys.set_int_max_str_digits(0)
+            want = str(n)
+            sys.set_int_max_str_digits(640)  # the least cap Python accepts
+            assert decimal_text(n) == want
+    finally:
+        sys.set_int_max_str_digits(cap)

@@ -1,6 +1,8 @@
 """Loop search over splitting sequences, and sequence replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab.atlas import (
     TWIST_GI_TEXT,
@@ -25,6 +27,8 @@ from ttlab.search import (
     MAX_DEPTH,
     LoopResult,
     SearchConfig,
+    _leaf_moves,
+    _LoopSearch,
     replay,
     search_loops,
 )
@@ -34,8 +38,9 @@ from ttlab.splitting import (
     apply_split,
     format_sequence,
     legal_splits,
+    split_switches,
 )
-from ttlab.track import isomorphisms
+from ttlab.track import flip_end, isomorphisms, side_profile
 from ttlab.words import format_word
 
 
@@ -116,9 +121,62 @@ def test_default_node_budget_is_finite():
     assert 0 < SearchConfig().max_nodes < 10**6
 
 
+def test_census_node_budget_is_exact():
+    cfg = SearchConfig(max_depth=4, certify=False, max_nodes=2110)
+    assert len(search_loops(twisted_track(), cfg)) == 80
+    with pytest.raises(ResourceLimit):
+        search_loops(twisted_track(),
+                     SearchConfig(max_depth=4, certify=False, max_nodes=2109))
+
+
+def test_census_memo_sizes():
+    # the per-switch key strings partition the tracks as whole-track keys do
+    seed = twisted_track()
+    search = _LoopSearch(seed, SearchConfig(max_depth=4))
+    assert len(search.suffixes(seed, 4)) == 80
+    assert [len(m) for m in search.memo[1:]] == [1796, 260, 24]
+    assert len(search.closes) == 32
+    assert search.nodes == 2110
+
+
+def _check_leaf_moves(track):
+    """_leaf_moves lists the legal moves, each with the side profile of the
+    track it splits into; returns the (slid, far) side pairs it met."""
+    leaves = list(_leaf_moves(track))
+    moves = [SplitMove(slid, over) for slid, over, _ in leaves]
+    assert sorted(moves, key=str) == list(legal_splits(track))
+    for slid, over, profile in leaves:
+        split = split_switches(track, SplitMove(slid, over))
+        assert tuple(profile) == side_profile(split)
+    return {(track.end_site[slid][:2], track.end_site[flip_end(over)][:2])
+            for slid, over, _ in leaves}
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.sampled_from([base_track, twisted_track, initial_track]),
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8))
+def test_leaf_profiles_are_the_split_tracks_profiles(start, picks):
+    t = start()
+    for pick in picks:
+        options = legal_splits(t)
+        t, _ = apply_split(t, options[pick % len(options)])
+    _check_leaf_moves(t)
+
+
+def test_leaf_profiles_of_moves_onto_the_slid_ends_switch():
+    # after one split, some moves put the slid end back on its own side
+    sites = set()
+    for start in (base_track, twisted_track, initial_track):
+        for mv in legal_splits(start()):
+            sites |= _check_leaf_moves(apply_split(start(), mv)[0])
+    assert any(src == far for src, far in sites)
+
+
 @pytest.mark.parametrize("cfg", [
     SearchConfig(max_depth=-1),
     SearchConfig(max_depth=MAX_DEPTH + 1),
+    SearchConfig(max_depth=1, certify=False, max_nodes=0),
+    SearchConfig(max_depth=2, certify=False, max_nodes=-5),
     SearchConfig(max_depth=1, certify=False, tolerance=float("nan")),
     SearchConfig(max_depth=1, certify=False, tolerance=0.0),
 ])
