@@ -9,6 +9,8 @@ Entry names are part of the command line contract:
   alpha, beta, t_ig, t_gi              relabel, involution, twist carriers
   s1, seq:N (odd N), twist_ig, twist_gi   splitting sequences
 
+The indices N stop at MAX_INDEX.
+
 The base track is stored as a golden table and can also be re-derived from
 the printed boundary words plus the map words alone, see
 reconstruct_base_track().  The initial track (the one the twelve move
@@ -28,6 +30,11 @@ from .track import Switch, TrainTrack, arrival_end, departure_end
 from .words import Word, inverse, parse_word
 
 ALPHABET = tuple("abcdefghijkl")
+
+# Largest index phi:N, psi:N and seq:N accept.  Their words and move lists
+# grow linearly in N, so an absurd index would exhaust memory instead of
+# failing; this cap keeps phi:1281 and seq:2561 and builds in seconds.
+MAX_INDEX = 10_001
 
 # ----------------------------------------------------------------------
 # golden tables
@@ -220,6 +227,11 @@ def t_gi() -> TrackMorphism:
                          name="t_gi")
 
 
+def _check_cap(n: int) -> None:
+    if n > MAX_INDEX:
+        raise BadIndex(f"atlas indices stop at {MAX_INDEX}, not {n}")
+
+
 def _rep(chunk: str, n: int) -> str:
     return (" ".join([chunk] * n) + " ") if n else ""
 
@@ -239,6 +251,7 @@ def phi(n: int) -> TrackMorphism:
         return phi3()
     if n < 1 or n % 2 == 0:
         raise BadIndex(f"phi is defined for odd indices and 2, not {n}")
+    _check_cap(n)
     m = (n - 1) // 2
     words = dict(PHI1_WORDS)
     words["f"] = "l a " + _rep("e a", m).strip()
@@ -254,6 +267,7 @@ def psi(n: int) -> TrackMorphism:
     invariant-side edges in twist blocks."""
     if n < 0:
         raise BadIndex(f"psi needs n >= 0, not {n}")
+    _check_cap(n)
     if n == 0:
         return phi1()
     a_blk = _rep("i g", n) + "k " + _rep("g i", n)
@@ -292,6 +306,7 @@ def splitting_sequence(n: int) -> tuple[SplitMove, ...]:
     twist pairs.  Starts on the initial track and ends on the base track."""
     if n < 1 or n % 2 == 0:
         raise BadIndex(f"splitting sequences exist for odd n, not {n}")
+    _check_cap(n)
     m = (n - 1) // 2
     return s1_moves() + (twist_ig_moves() + twist_gi_moves()) * m
 

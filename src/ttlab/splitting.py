@@ -25,7 +25,7 @@ from typing import NoReturn
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
-from .words import Word, free_reduce, inv_letter, substitute
+from .words import Word, inv_letter, inverse, join
 
 
 @dataclass(frozen=True)
@@ -252,10 +252,18 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
     to the start.  IllegalMove carries the index and the track reached.
 
-    A move changes only the image of its slid edge, so the composite is
-    kept as one image per edge and each move rewrites one of them."""
+    A move changes only the image of its slid edge: x r becomes the join of
+    the images of x and r (r^-1 x likewise).  Both are reduced, so the
+    composite grows at the seam and is reduced there alone; a composite of
+    splits is a train path, which never cancels at the seam.  When one side
+    of each switch holds only t ends and the other only i ends, as on the
+    atlas tracks, r is a positive letter and no image is inverted either."""
     current = track
     images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
+
+    def image(lt):
+        return images[lt[0]] if lt[1] > 0 else inverse(images[lt[0]])
+
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
@@ -266,7 +274,8 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
                 track=current,
             ) from exc
-        images[mv.slid[0]] = free_reduce(substitute(_slid_image(mv), images))
+        u, v = _slid_image(mv)
+        images[mv.slid[0]] = join(image(u), image(v))
     name = ".".join(["id"] + [str(mv) for mv in mv_tuple])
     return SplitRun(track, current, mv_tuple,
                     TrackMorphism(current, track, images, name=name))

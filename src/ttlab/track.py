@@ -15,7 +15,7 @@ exactly when the arriving and the departing end lie on the same side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InvalidTrack, NotOrientable, ParseError
 from .words import Letter, Word, is_label, min_rotation, word_key
@@ -157,6 +157,18 @@ class EulerData:
         return sum(self.cusp_counts)
 
 
+@lru_cache(maxsize=64)
+def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
+    """The ends of `edges`, after checking the labels; a split keeps the
+    edge tuple, so a run of splits checks it once."""
+    if len(set(edges)) != len(edges):
+        raise InvalidTrack("duplicate edge labels")
+    for lab in edges:
+        if not is_label(lab):
+            raise InvalidTrack(f"bad edge label {lab!r}")
+    return frozenset((lab, k) for lab in edges for k in ("i", "t"))
+
+
 @dataclass(frozen=True)
 class TrainTrack:
     name: str
@@ -175,19 +187,13 @@ class TrainTrack:
             seen_sw.add(sw.name)
             if not sw.side_a or not sw.side_b:
                 raise InvalidTrack(f"switch {sw.name!r} has an empty side")
-        labels = list(self.edges)
-        if len(set(labels)) != len(labels):
-            raise InvalidTrack("duplicate edge labels")
-        for lab in labels:
-            if not is_label(lab):
-                raise InvalidTrack(f"bad edge label {lab!r}")
+        want = _edge_ends(tuple(self.edges))
         placed: dict[End, str] = {}
         for sw in self.switches:
             for e in sw.ends:
                 if e in placed:
                     raise InvalidTrack(f"end {format_end(e)} placed twice")
                 placed[e] = sw.name
-        want = {(lab, k) for lab in labels for k in ("i", "t")}
         if set(placed) != want:
             missing = sorted(want - set(placed))
             extra = sorted(set(placed) - want)

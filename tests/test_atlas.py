@@ -104,6 +104,20 @@ def test_family_bad_indices():
     assert A.psi(0).mapping == A.phi1().mapping
 
 
+def test_family_indices_stop_at_the_cap():
+    cap = A.MAX_INDEX
+    assert len(A.splitting_sequence(cap)) == 12 + 4 * (cap - 1)
+    assert A.phi(cap).name == f"phi{cap}"
+    assert A.psi(cap).name == f"psi{cap}"
+    for build, n in ((A.phi, cap + 2), (A.psi, cap + 1),
+                     (A.splitting_sequence, cap + 2), (A.phi, 999999999999),
+                     (A.psi, 99999999), (A.splitting_sequence, 999999999999)):
+        with pytest.raises(BadIndex, match=f"stop at {cap}, not {n}"):
+            build(n)
+    with pytest.raises(UnknownEntry):
+        A.atlas("seq:999999999999")
+
+
 def test_involution_pairs():
     inv = A.involution()
     assert inv.source.name == inv.target.name == "tau"

@@ -125,6 +125,16 @@ def test_certificate_bytes_are_frozen(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFICATE_SHA256[name]
 
 
+def test_long_replay_bytes_are_frozen(capsys):
+    # `ttlab seq apply atlas:tau_initial atlas:seq:641 --json`, frozen from
+    # the replay that re-reduced each whole image after every move
+    code, out, _ = run(capsys, "seq", "apply", "atlas:tau_initial",
+                       "atlas:seq:641", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ce82b9dfd4a89b5d8a486c79f1df37b4ae4bc53d552dae6a849b997b212e7602")
+
+
 def test_map_compose(capsys):
     code, out, _ = run(capsys, "map", "compose",
                        "atlas:alpha", "atlas:phi1", "atlas:t_ig",
@@ -251,6 +261,19 @@ def test_exit_code_two_for_bad_input(capsys):
     assert run(capsys, "map", "check", "atlas:tau")[0] == 2
     assert run(capsys, "map", "certify", "atlas:phi2", "--tol", "0")[0] == 2
     assert run(capsys, "map", "dilatation", "atlas:phi2", "--tol", "nan")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "check", "atlas:phi:999999999999"),
+    ("map", "check", "atlas:psi:99999999"),
+    ("seq", "apply", "atlas:tau_initial", "atlas:seq:999999999999"),
+    ("atlas", "phi", "--n", "999999999999"),
+    ("atlas", "psi", "--n", "99999999"),
+])
+def test_huge_atlas_index_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "atlas indices stop at 10001" in err
 
 
 def test_edgeless_track_is_bad_input(capsys, tmp_path):

@@ -9,6 +9,7 @@ from ttlab.atlas import (
     base_track,
     identification_ii,
     initial_track,
+    phi,
     phi1,
     phi3,
     s1_moves,
@@ -251,6 +252,13 @@ def test_replay_longer_sequence_is_pa():
     assert result.self_maps[0].mapping == phi3().mapping
     assert result.certificates[0].verdict == "pA"
     assert result.certificates[0].fixed_point_free
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 41, 161])
+def test_replay_of_the_odd_family_is_phi(n):
+    result = replay(initial_track(), splitting_sequence(n), identification_ii(),
+                    SearchConfig(certify=False))
+    assert result.self_maps[0].images == phi(n).images
 
 
 def test_replay_empty_sequence_identity():

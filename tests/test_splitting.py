@@ -21,7 +21,7 @@ from ttlab.splitting import (
     split_switches,
     unsplit,
 )
-from ttlab.track import tracks_equal
+from ttlab.track import Switch, TrainTrack, flip_end, tracks_equal
 
 
 def test_parse_and_format_move():
@@ -264,8 +264,19 @@ def test_sequence_text_round_trip(start, picks):
     assert parse_sequence(format_sequence(moves)) == moves
 
 
+def _reversed_edges(t, labels):
+    """`t` with the ends of the edges in `labels` swapped, so sides mix i
+    and t ends and moves ride edges backwards (negative ride letters)."""
+    def ends(side):
+        return tuple(flip_end(e) if e[0] in labels else e for e in side)
+    return TrainTrack(t.name, t.edges, tuple(
+        Switch(sw.name, ends(sw.side_a), ends(sw.side_b)) for sw in t.switches))
+
+
 @settings(max_examples=60, deadline=None)
-@given(start=STARTS,
+@given(start=st.sampled_from([
+           base_track, twisted_track, initial_track,
+           lambda: _reversed_edges(base_track(), "acfhk")]),
        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
 def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
     t0 = start()

@@ -199,6 +199,16 @@ def test_duplicate_switch_name_rejected():
         TrainTrack("bad", ("a",), (sw, sw))
 
 
+def test_edge_labels_checked_on_every_track():
+    sw = Switch("v", (end("a", "i"),), (end("a", "t"),))
+    for _ in range(2):  # the check is cached per edge tuple, its failure is not
+        with pytest.raises(InvalidTrack, match="duplicate edge labels"):
+            TrainTrack("bad", ("a", "a"), (sw,))
+        with pytest.raises(InvalidTrack, match="bad edge label '1a'"):
+            TrainTrack("bad", ("1a",), (sw,))
+    assert TrainTrack("ok", ["a"], (sw,)).edges == ["a"]
+
+
 def test_orientation_exists_on_base_track():
     orient = base_track().orientation()
     assert set(orient) == set(base_track().edges)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ttlab.errors import ParseError
 from ttlab.words import (
@@ -15,6 +17,7 @@ from ttlab.words import (
     free_reduce_marked,
     inv_letter,
     inverse,
+    join,
     letter,
     min_rotation,
     parse_letter,
@@ -154,3 +157,22 @@ def test_reduction_random_involution():
             for k in range(len(r)):
                 assert word_key(min_rotation(cyclic_reduce(rotate(r, k)))[0]) \
                     == word_key(min_rotation(c)[0])
+
+
+_REDUCED = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
+                    max_size=12).map(free_reduce)
+
+
+@given(u=_REDUCED, k=st.integers(0, 12), tail=_REDUCED)
+@example(u=parse_word("a b"), k=0, tail=parse_word("c a"))  # no cancellation
+@example(u=parse_word("a b c"), k=2, tail=parse_word("a"))  # partial
+@example(u=parse_word("a b c"), k=3, tail=())  # total
+@example(u=(), k=0, tail=parse_word("a"))  # empty u
+@example(u=parse_word("a"), k=0, tail=())  # empty v
+@example(u=(), k=0, tail=())
+def test_join_reduces_only_at_the_seam(u, k, tail):
+    # v starts with the inverse of the last k letters of u, then goes on
+    k = min(k, len(u))
+    v = free_reduce(inverse(u[len(u) - k:]) + tail)
+    assert join(u, v) == free_reduce(u + v)
+    assert join(v, u) == free_reduce(v + u)
