@@ -7,20 +7,26 @@ smooth paths guarantee:
 
     M(f . g) = M(g) M(f)
 
-All certification arithmetic is exact: the dilatation is bracketed by
-Collatz-Wielandt quotients of an integer iteration vector, so `lower` and
-`upper` are true rational bounds, not floating point estimates.  The
-iteration multiplies by the nonzero entries only.  Floats only pick which
-quotients can be the least and the greatest; integer cross-multiplication
-settles the pick, and the bounds stay (numerator, denominator) pairs until
-the bracket is returned.
+All certification arithmetic is exact: the dilatation is bracketed by the
+least and greatest Collatz-Wielandt quotients (Mv)_i / v_i of the integer
+vectors v = M^k 1, so `lower` and `upper` are true rational bounds.  Floats
+only pick which quotients can be extreme; integer cross-multiplication
+settles the pick.
+
+For M >= 0 with no zero row and v > 0, the least quotient never falls from v
+to Mv and the greatest never rises, so "the bracket is narrower than tol" is
+monotone in the step.  The first such step is found by galloping over
+v -> M^(2^i) v for i = 0, 1, ... and bisecting back down, on exact powers
+built by squaring; the transpose bracket reuses them transposed.
+`iterations` is that step, as if every step had been walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import isfinite
+from operator import mul
 
 from .errors import BadIndex, NoConvergence, NotIrreducible, NotPrimitive
 from .morphism import TrackMorphism
@@ -70,7 +76,7 @@ def mat_mult(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch")
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -205,7 +211,7 @@ Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
 
 
 def _cw_bounds(rows: list[list[tuple[int, int]]],
-               v: list[int]) -> tuple[Pair, Pair, list[int]]:
+               v: list[int]) -> tuple[Pair, Pair]:
     """The least and greatest quotient w[i] / v[i], w = M v, as pairs.
 
     `int / int` rounds correctly, and correct rounding is monotone, so the
@@ -222,23 +228,17 @@ def _cw_bounds(rows: list[list[tuple[int, int]]],
             lo = (wi, vi)
         if qi == q_hi and (hi is None or wi * hi[1] > hi[0] * vi):
             hi = (wi, vi)
-    return lo, hi, w
-
-
-def _shrink(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return [x // g for x in v] if g > 1 else v
+    return lo, hi
 
 
 def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
                max_iterations: int = 20000) -> PerronData:
     """Certified Perron root of an irreducible incidence matrix.
 
-    Integer power iteration; at every step the Collatz-Wielandt quotients
-    of the exact vector give true lower and upper bounds.  Stops when the
-    bracket is narrower than `tol`.  A Perron root of 0 raises NotPrimitive.
+    Step k brackets the root by the Collatz-Wielandt quotients of
+    M^(k-1) 1; `iterations` is the first step, at most `max_iterations`,
+    whose bracket is narrower than `tol`.  A Perron root of 0 raises
+    NotPrimitive.
     """
     check_tolerance(tol)
     rep = irreducibility(mat)
@@ -253,28 +253,55 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
         raise NotPrimitive("Perron root is 0")
     n = len(a)
     tn, td = Fraction(tol).as_integer_ratio()  # binary floats are exact
+    squares = [a]  # squares[i] = M^(2^i), shared by both directions
 
-    def bracket(matrix: Matrix) -> tuple[Fraction, Fraction, list[int], int]:
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
-        v = [1] * n
-        ln, ld, hn, hd = 0, 1, 1, 0  # best lo so far 0, best hi +infinity
-        for it in range(1, max_iterations + 1):
-            (wl, vl), (wh, vh), w = _cw_bounds(rows, v)
-            if wl * ld > ln * vl:
-                ln, ld = wl, vl
-            if wh * hd < hn * vh:
-                hn, hd = wh, vh
-            # hi - lo < tol, over the common denominator hd * ld * td
-            if (hn * ld - ln * hd) * td < tn * hd * ld and ln > 0:
-                return Fraction(ln, ld), Fraction(hn, hd), v, it
-            v = _shrink(w)
-        raise NoConvergence(
-            f"dilatation bracket did not reach tol={tol} in {max_iterations} steps"
-        )
+    def square(i: int) -> Matrix:
+        while len(squares) <= i:
+            squares.append(mat_mult(squares[-1], squares[-1]))
+        return squares[i]
 
-    lower, upper, _, iters = bracket(a)
-    at = tuple(zip(*a))
-    lo_t, hi_t, vt, _ = bracket(at)
+    def bracket(lift) -> tuple[Fraction, Fraction, list[int], int]:
+        """`lift(i)` is the 2^i-th power of the matrix iterated, as rows."""
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in lift(0)]
+
+        def times(i: int, v: list[int]) -> list[int]:
+            return [sum(map(mul, row, v)) for row in lift(i)]
+
+        def narrow(v: list[int]) -> bool:
+            # hi - lo < tol, over the common denominator hd * ld * td; lo > 0
+            # because M has no zero row and v > 0
+            (ln, ld), (hn, hd) = _cw_bounds(rows, v)
+            return (hn * ld - ln * hd) * td < tn * hd * ld
+
+        def advance(v: list[int], k: int, i: int) -> list[int] | None:
+            """v_k advanced 2^i steps, or None if the step on the result
+            stops; every step past `max_iterations` counts as stopping."""
+            if k + (1 << i) >= max_iterations:
+                return None
+            w = times(i, v)
+            return None if narrow(w) else w
+
+        # v = v_k = M^k 1, bracketed by step k + 1; k ends as the last index
+        # whose step does not stop (-1: none), so step k + 2 stops
+        v, k = [1] * n, -1
+        if max_iterations > 0 and not narrow(v):
+            k, top = 0, 0
+            while (w := advance(v, k, top)) is not None:  # gallop
+                v, k, top = w, k + (1 << top), top + 1
+            for i in reversed(range(top)):  # bisect below k + 2^top
+                if (w := advance(v, k, i)) is not None:
+                    v, k = w, k + (1 << i)
+            v = times(0, v)
+        if k + 1 >= max_iterations:
+            raise NoConvergence(
+                f"dilatation bracket did not reach tol={tol} "
+                f"in {max_iterations} steps"
+            )
+        lo, hi = _cw_bounds(rows, v)
+        return Fraction(*lo), Fraction(*hi), v, k + 2
+
+    lower, upper, _, iters = bracket(square)
+    lo_t, hi_t, vt, _ = bracket(lambda i: tuple(zip(*square(i))))
     # the transpose shares the Perron root; take the common refinement
     lower = max(lower, lo_t)
     upper = min(upper, hi_t)

@@ -113,6 +113,8 @@ CERTIFICATE_SHA256 = {
     "phi3": "6b8e9e2fc3cb6dd17b38c0a527c77aed4609d48453d96f2ddc5aa71e63b54ec4",
     "phi:161":
         "c0e8cd044854a00ed92ceb282d521caf30f217b9c5a9be20976f44acd14461e6",
+    "phi:1281":
+        "0f4517bf49c21ef67619a9310772b98f63522f8db59025342862fb846c966ac5",
     "psi:40":
         "af211c11249345c3c858424d501bfa6a68bb0f5ee625050c48530e318f5e91bd",
 }
@@ -123,6 +125,15 @@ def test_certificate_bytes_are_frozen(capsys, name):
     code, out, _ = run(capsys, "map", "certify", f"atlas:{name}", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFICATE_SHA256[name]
+
+
+def test_long_dilatation_bytes_are_frozen(capsys):
+    # `ttlab map dilatation atlas:phi:1281 --json`, frozen from the bracket
+    # that walked every Perron step
+    code, out, _ = run(capsys, "map", "dilatation", "atlas:phi:1281", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "616e3978481d002eb927c745049b207ad7f82a7d514376a973882052e090b3c5")
 
 
 def test_long_replay_bytes_are_frozen(capsys):

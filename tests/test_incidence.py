@@ -306,12 +306,57 @@ def _outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(data=_irreducible_matrices(),
-       tol=st.sampled_from([0.5, 1e-3, 1e-10, 1e-30]))
-def test_dilatation_matches_fraction_reference(data, tol):
+       tol=st.sampled_from([0.5, 1e-3, 1e-10, 1e-30]),
+       budget=st.sampled_from([1, 2, 3, 7, 300]))
+def test_dilatation_matches_fraction_reference(data, tol, budget):
     labels = tuple(f"e{i}" for i in range(len(data)))
     mat = IncidenceMatrix(labels, labels, data)
-    assert _outcome(dilatation, mat, tol, 300) == \
-        _outcome(_fraction_dilatation, mat, tol, 300)
+    assert _outcome(dilatation, mat, tol, budget) == \
+        _outcome(_fraction_dilatation, mat, tol, budget)
+
+
+@st.composite
+def _no_zero_row_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=n * n, max_size=n * n))
+    a = [cells[i * n:(i + 1) * n] for i in range(n)]
+    for i, row in enumerate(a):
+        if not any(row):
+            row[draw(st.integers(min_value=0, max_value=n - 1))] = 1
+    return tuple(tuple(row) for row in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_no_zero_row_matrices())
+def test_collatz_wielandt_bounds_are_monotone(data):
+    # For M >= 0 with no zero row and v > 0, min (Mv)_i / v_i never falls
+    # and max never rises from v to Mv, reducible or not: the lemma that
+    # lets `dilatation` jump to its stopping step
+    v = [1] * len(data)
+    lo, hi = None, None
+    for _ in range(40):
+        w = [sum(x * y for x, y in zip(row, v)) for row in data]
+        quots = [Fraction(wi, vi) for wi, vi in zip(w, v)]
+        if lo is not None:
+            assert min(quots) >= lo
+            assert max(quots) <= hi
+        lo, hi = min(quots), max(quots)
+        v = w
+
+
+def test_periodic_matrix_gives_up_at_the_budget():
+    # irreducible of period 2: edges step i to i + 1 or i + 3 mod 12, so
+    # every closed walk has even length.  The bracket never closes, and the
+    # 20,000-step budget ends it in a fraction of a second, not a minute
+    n = 12
+    data = tuple(
+        tuple((j == (i + 1) % n) + (j == (i + 3) % n) * (1 + (i == 0))
+              for j in range(n))
+        for i in range(n))
+    labels = tuple(f"e{i:02d}" for i in range(n))
+    with pytest.raises(NoConvergence, match=r"in 20000 steps"):
+        dilatation(IncidenceMatrix(labels, labels, data))
 
 
 def test_decimal_text_is_str_past_any_digit_cap():
