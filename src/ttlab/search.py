@@ -13,7 +13,6 @@ are then replayed from the seed, one by one, to build their maps.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .certify import Certificate, certify
@@ -32,7 +31,7 @@ from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
 
 
 # Deepest search accepted.  Each level multiplies the tracks to expand
-# (about 4x from depth 4 to 5), so no exhaustive search gets near it, and
+# (about 3.3x from depth 6 to 7), so no exhaustive search gets near it, and
 # its recursion stays well inside Python's default limit.
 MAX_DEPTH = 100
 
@@ -43,7 +42,7 @@ class SearchConfig:
     certify: bool = True
     tolerance: float = 1e-10
     # tracks the search may expand (memo misses plus leaf isomorphism
-    # checks); depth 5 from tau_prime expands about 11,600
+    # checks); leaves room for depth 7 from tau_prime, which expands 24,694
     max_nodes: int = 50_000
     # certificate filters; they narrow what is emitted, never what is found
     require_fixed_point_free: bool = False
@@ -120,7 +119,7 @@ def _structure_key(switches: tuple[Switch, ...]) -> str:
     return ";".join(sw.structure_text for sw in switches)
 
 
-def _leaf_moves(track: TrainTrack):
+def _moves_with_profiles(track: TrainTrack):
     """Each legal move on `track` as (slid, over, profile), where `profile`
     lists the side sizes, sorted, of the track the move splits into.
 
@@ -143,29 +142,44 @@ def _leaf_moves(track: TrainTrack):
             yield slid, over, profile
 
 
+def _lacking(profile: list[int], seed: list[int]) -> int:
+    """How many sizes in `profile` the multiset `seed` does not match, by
+    merging the two sorted lists.  A move changes at most two side sizes,
+    so it changes this count by at most two."""
+    matched = j = 0
+    n = len(seed)
+    for size in profile:
+        while j < n and seed[j] < size:
+            j += 1
+        if j == n:
+            break
+        if seed[j] == size:
+            matched += 1
+            j += 1
+    return len(profile) - matched
+
+
 class _LoopSearch:
     """Closing suffixes of the tracks below one seed.
 
     A suffix of a track is a sequence of 1 up to the remaining depth moves
     that ends on a track isomorphic to the seed.  `memo[r]` maps the key of
     a track met with r >= 1 moves left to its suffixes, plus the empty one
-    when the track itself closes.  Leaves (no move left) get no entry: with
-    one move left, each move's side profile is worked out from the parent's
-    side sizes, and only a move whose profile matches the seed's is split.
-    Its closure test, which builds a track, is kept under its key in
-    `closes`.  A move replaces at most two of a track's side sizes, so a track
-    with more than two sizes the seed lacks has no closing move and is not
-    walked.
+    when the track itself closes.  Leaves (no move left) get no entry.
+    A move changes at most two side sizes, so a child with more than 2r
+    sizes the seed lacks cannot close in the r moves left after it; each
+    move's side profile is worked out without splitting, and such a move
+    is not split (IDA*-style lower-bound pruning).  `closes` keeps, under
+    each tested track's key, the isomorphisms from the seed onto it.
     """
 
     def __init__(self, seed: TrainTrack, cfg: SearchConfig):
         self.seed = seed
-        self.profile = list(seed.side_profile)  # as _leaf_moves gives it
-        self.seed_sizes = Counter(self.profile)
+        self.profile = list(seed.side_profile)  # a list, as move profiles are
         self.max_nodes = cfg.max_nodes
         self.nodes = 0
         self.memo: list[dict[str, tuple]] = [{} for _ in range(cfg.max_depth)]
-        self.closes: dict[str, bool] = {}
+        self.closes: dict[str, tuple[TrackIso, ...]] = {}
 
     def _track(self, switches: tuple[Switch, ...]) -> TrainTrack:
         """A validated track on `switches`; one expansion of the budget."""
@@ -176,46 +190,41 @@ class _LoopSearch:
         return TrainTrack(self.seed.name, self.seed.edges, switches)
 
     def _closes(self, switches: tuple[Switch, ...], key: str,
-                track: TrainTrack | None = None) -> bool:
-        """Whether the track on `switches`, whose side profile matches the
-        seed's, is isomorphic to the seed; a caller that already holds the
-        track passes it."""
-        hit = self.closes.get(key)
-        if hit is None:
-            hit = bool(isomorphisms(self.seed, track or self._track(switches)))
-            self.closes[key] = hit
-        return hit
+                track: TrainTrack | None = None) -> tuple[TrackIso, ...]:
+        """The isomorphisms from the seed onto the track on `switches`,
+        whose side profile matches the seed's; a caller that already holds
+        the track passes it."""
+        isos = self.closes.get(key)
+        if isos is None:
+            isos = isomorphisms(self.seed, track or self._track(switches))
+            self.closes[key] = isos
+        return isos
 
     def suffixes(self, track: TrainTrack,
                  depth: int) -> tuple[tuple[SplitMove, ...], ...]:
         """The closing suffixes of `track`, with `depth` >= 1 moves left."""
         found = []
-        if depth == 1:
-            lacking = Counter(track.side_profile) - self.seed_sizes
-            if sum(lacking.values()) > 2:
-                return ()
-            for slid, over, profile in _leaf_moves(track):
-                if profile == self.profile:
-                    mv = SplitMove(slid, over)
-                    switches = split_switches(track, mv)
-                    if self._closes(switches, _structure_key(switches)):
-                        found.append((mv,))
-            return tuple(found)
-        memo = self.memo[depth - 1]
-        for sw in track.switches:
-            for slid, over, _ in _moves_at(sw):
-                mv = SplitMove(slid, over)
-                switches = split_switches(track, mv)
-                key = _structure_key(switches)
-                tail = memo.get(key)
-                if tail is None:
-                    child = self._track(switches)
-                    tail = self.suffixes(child, depth - 1)
-                    if (child.side_profile == self.seed.side_profile
-                            and self._closes(switches, key, child)):
-                        tail = ((),) + tail
-                    memo[key] = tail
-                found.extend((mv,) + s for s in tail)
+        left = depth - 1
+        memo = self.memo[left]
+        for slid, over, profile in _moves_with_profiles(track):
+            lacking = _lacking(profile, self.profile)
+            if lacking > 2 * left:
+                continue
+            mv = SplitMove(slid, over)
+            switches = split_switches(track, mv)
+            key = _structure_key(switches)
+            if not left:
+                if self._closes(switches, key):
+                    found.append((mv,))
+                continue
+            tail = memo.get(key)
+            if tail is None:
+                child = self._track(switches)
+                tail = self.suffixes(child, left)
+                if not lacking and self._closes(switches, key, child):
+                    tail = ((),) + tail
+                memo[key] = tail
+            found.extend((mv,) + s for s in tail)
         # most tracks close nothing; tuple() of an empty list is the one
         # shared empty tuple, so those memo entries cost no value object
         return tuple(found)
@@ -238,12 +247,13 @@ def search_loops(seed: TrainTrack,
     if cfg.max_nodes < 1:
         raise BadIndex("search node budget must be at least 1, "
                        f"got {cfg.max_nodes}")
-    found = _LoopSearch(seed, cfg).suffixes(seed, cfg.max_depth) \
-        if cfg.max_depth else ()
+    search = _LoopSearch(seed, cfg)
+    found = search.suffixes(seed, cfg.max_depth) if cfg.max_depth else ()
     results: list[LoopResult] = []
     for moves in sorted(found, key=lambda s: tuple(str(m) for m in s)):
         run = apply_sequence(seed, moves)
-        packed = _package(seed, run, isomorphisms(seed, run.final), cfg)
+        isos = search.closes[_structure_key(run.final.switches)]
+        packed = _package(seed, run, isos, cfg)
         if packed is not None:
             results.append(packed)
     return tuple(results)

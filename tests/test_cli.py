@@ -236,6 +236,17 @@ def test_search_loops_out_dir(capsys, tmp_path):
     assert len(doc.sequences) == 1 and len(doc.maps) == 2
 
 
+def test_depth_six_search_bytes_are_frozen(capsys):
+    # `ttlab search loops atlas:tau_prime --depth 6 --no-certify --json`
+    # under the default node budget; frozen from the search that pruned only
+    # with one move left, which needed `--max-nodes 1000000` for it
+    code, out, _ = run(capsys, "search", "loops", "atlas:tau_prime",
+                       "--depth", "6", "--no-certify", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e7bac8ddbdce5e4023ac5b968edfb62be4a0f46764aae0d51b82af5c7c291526")
+
+
 def test_search_loops_budget_and_bad_parameters(capsys):
     code, _, err = run(capsys, "search", "loops", "atlas:tau_prime",
                        "--depth", "30", "--no-certify", "--max-nodes", "200")

@@ -1,5 +1,7 @@
 """Loop search over splitting sequences, and sequence replay."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,8 +30,9 @@ from ttlab.search import (
     MAX_DEPTH,
     LoopResult,
     SearchConfig,
-    _leaf_moves,
+    _lacking,
     _LoopSearch,
+    _moves_with_profiles,
     replay,
     search_loops,
 )
@@ -123,11 +126,11 @@ def test_default_node_budget_is_finite():
 
 
 def test_census_node_budget_is_exact():
-    cfg = SearchConfig(max_depth=4, certify=False, max_nodes=2110)
+    cfg = SearchConfig(max_depth=4, certify=False, max_nodes=534)
     assert len(search_loops(twisted_track(), cfg)) == 80
     with pytest.raises(ResourceLimit):
         search_loops(twisted_track(),
-                     SearchConfig(max_depth=4, certify=False, max_nodes=2109))
+                     SearchConfig(max_depth=4, certify=False, max_nodes=533))
 
 
 def test_census_memo_sizes():
@@ -135,20 +138,31 @@ def test_census_memo_sizes():
     seed = twisted_track()
     search = _LoopSearch(seed, SearchConfig(max_depth=4))
     assert len(search.suffixes(seed, 4)) == 80
-    assert [len(m) for m in search.memo[1:]] == [1796, 260, 24]
+    assert [len(m) for m in search.memo[1:]] == [220, 260, 24]
     assert len(search.closes) == 32
-    assert search.nodes == 2110
+    assert search.nodes == 534
 
 
-def _check_leaf_moves(track):
-    """_leaf_moves lists the legal moves, each with the side profile of the
-    track it splits into; returns the (slid, far) side pairs it met."""
-    leaves = list(_leaf_moves(track))
+def _counter_lacking(profile, seed):
+    return sum((Counter(profile) - Counter(seed)).values())
+
+
+def _check_moves(track, seed):
+    """_moves_with_profiles lists the legal moves, each with the side
+    profile of the track it splits into.  _lacking counts the sizes of that
+    profile which the seed's, or the parent's, lacks, and a move changes
+    it by at most two.  Returns the (slid, far) side pairs met."""
+    leaves = list(_moves_with_profiles(track))
     moves = [SplitMove(slid, over) for slid, over, _ in leaves]
     assert sorted(moves, key=str) == list(legal_splits(track))
+    refs = (list(seed.side_profile), list(track.side_profile))
     for slid, over, profile in leaves:
-        split = split_switches(track, SplitMove(slid, over))
-        assert tuple(profile) == side_profile(split)
+        split = side_profile(split_switches(track, SplitMove(slid, over)))
+        assert tuple(profile) == split
+        for ref in refs:
+            lacking = _lacking(profile, ref)
+            assert lacking == _counter_lacking(split, ref)
+            assert abs(lacking - _lacking(list(track.side_profile), ref)) <= 2
     return {(track.end_site[slid][:2], track.end_site[flip_end(over)][:2])
             for slid, over, _ in leaves}
 
@@ -161,7 +175,7 @@ def test_leaf_profiles_are_the_split_tracks_profiles(start, picks):
     for pick in picks:
         options = legal_splits(t)
         t, _ = apply_split(t, options[pick % len(options)])
-    _check_leaf_moves(t)
+    _check_moves(t, start())
 
 
 def test_leaf_profiles_of_moves_onto_the_slid_ends_switch():
@@ -169,8 +183,18 @@ def test_leaf_profiles_of_moves_onto_the_slid_ends_switch():
     sites = set()
     for start in (base_track, twisted_track, initial_track):
         for mv in legal_splits(start()):
-            sites |= _check_leaf_moves(apply_split(start(), mv)[0])
+            sites |= _check_moves(apply_split(start(), mv)[0], start())
     assert any(src == far for src, far in sites)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=0, max_value=6), max_size=16),
+       seed=st.lists(st.integers(min_value=0, max_value=6), max_size=16))
+def test_lacking_counts_the_multiset_difference(sizes, seed):
+    n = min(len(sizes), len(seed))
+    profile, ref = sorted(sizes[:n]), sorted(seed[:n])
+    assert _lacking(profile, ref) == _counter_lacking(profile, ref)
+    assert (_lacking(profile, ref) == 0) == (profile == ref)
 
 
 @pytest.mark.parametrize("cfg", [
