@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import BadIndex, InconsistentConstraints, UnknownEntry
 from .morphism import TrackMorphism, relabel_morphism
 from .splitting import SplitMove, parse_sequence, unsplit
-from .track import Switch, TrainTrack, arrival_end, departure_end
+from .track import Switch, TrainTrack, arrival_end, departure_end, tracks_equal
 from .words import Word, inverse, parse_word
 
 ALPHABET = tuple("abcdefghijkl")
@@ -444,7 +444,7 @@ def reconstruct_base_track() -> TrainTrack:
 
     uniq: list[TrainTrack] = []
     for t in survivors:
-        if not any(t.canonical_key == u.canonical_key for u in uniq):
+        if not any(tracks_equal(t, u) for u in uniq):
             uniq.append(t)
     if len(uniq) != 1:
         raise InconsistentConstraints(
@@ -459,12 +459,9 @@ def psi_words_for_check() -> dict[str, Word]:
 
 def _canonical_switch_names(pairs) -> tuple[Switch, ...]:
     keyed = sorted(pairs, key=lambda ab: min(min(ab[0]), min(ab[1])))
-    out = []
-    for idx, (a, b) in enumerate(keyed, start=1):
-        pres = min((tuple(a), tuple(b)),
-                   (tuple(reversed(b)), tuple(reversed(a))))
-        out.append(Switch(f"v{idx}", pres[0], pres[1]))
-    return tuple(out)
+    return tuple(
+        Switch(f"v{idx}", *Switch("", tuple(a), tuple(b)).canonical_presentation())
+        for idx, (a, b) in enumerate(keyed, start=1))
 
 
 # ----------------------------------------------------------------------

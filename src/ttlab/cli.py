@@ -38,7 +38,7 @@ from .incidence import (
 from .morphism import TrackMorphism, compose_chain
 from .search import SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
-from .track import TrainTrack, format_end
+from .track import TrainTrack, format_end, tracks_equal
 from .words import format_word
 
 
@@ -356,7 +356,7 @@ def cmd_atlas_psi(args) -> int:
 def cmd_atlas_reconstruct(args) -> int:
     rebuilt = _atlas.reconstruct_base_track()
     stored = _atlas.base_track()
-    same = rebuilt.canonical_key == stored.canonical_key
+    same = tracks_equal(rebuilt, stored)
     if args.json:
         _emit_json({"matches": same, "track": _track_dict(rebuilt)}, args.out)
     else:

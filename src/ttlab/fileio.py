@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidTrack, ParseError, UnknownEntry
+from .errors import InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
 from .track import Switch, TrainTrack, format_end, parse_end
@@ -226,7 +226,7 @@ def _finish_map(name: str, header_line: int,
         images[lab] = parse_word(value, lineno)
     try:
         return TrackMorphism(source, target, images, name=name)
-    except Exception as err:  # noqa: BLE001  (coverage errors carry no line)
+    except TrackError as err:  # coverage and edge errors carry no line
         raise ParseError(f"map {name!r}: {err}", line=header_line) from None
 
 

@@ -47,6 +47,10 @@ class TrackMorphism:
             raise InvalidMorphism(
                 f"images must cover the source edges exactly; got {have}, want {want}"
             )
+        known = set(self.target.edges)
+        if not {x for _, w in imgs for x, _ in w} <= known:
+            lab, x = next((lab, x) for lab, w in imgs for x, _ in w if x not in known)
+            raise InvalidMorphism(f"image of {lab!r} uses unknown edge {x!r}")
 
     @cached_property
     def mapping(self) -> dict[str, Word]:
@@ -95,18 +99,12 @@ class TrackMorphism:
 
     def check(self) -> None:
         """Full morphism check; raises InvalidMorphism with the reason."""
-        tgt_labels = set(self.target.edges)
         tsite = self.target.end_site
         for lab, w in self.images:
             if not w:
                 raise InvalidMorphism(f"image of {lab!r} is empty")
             if w != free_reduce(w):
                 raise InvalidMorphism(f"image of {lab!r} is not reduced")
-            for lt in w:
-                if lt[0] not in tgt_labels:
-                    raise InvalidMorphism(
-                        f"image of {lab!r} uses unknown edge {lt[0]!r}"
-                    )
             # path condition and interior smoothness
             for k in range(len(w) - 1):
                 arr = arrival_end(w[k])

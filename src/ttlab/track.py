@@ -79,13 +79,10 @@ class Switch:
     def valence(self) -> int:
         return len(self.side_a) + len(self.side_b)
 
-    def presentations(self) -> tuple[tuple, tuple]:
-        p1 = (self.side_a, self.side_b)
-        p2 = (tuple(reversed(self.side_b)), tuple(reversed(self.side_a)))
-        return p1, p2
-
     def canonical_presentation(self) -> tuple:
-        return min(self.presentations())
+        """The lesser of (A, B) and (reversed B, reversed A)."""
+        return min((self.side_a, self.side_b),
+                   (tuple(reversed(self.side_b)), tuple(reversed(self.side_a))))
 
     @cached_property
     def structure_text(self) -> str:
@@ -278,6 +275,14 @@ class TrainTrack:
 
     @cached_property
     def euler(self) -> EulerData:
+        reached, todo = set(), [min(self.end_site)]
+        while todo:
+            e = todo.pop()
+            if e not in reached:
+                reached.add(e)
+                todo += (flip_end(e), self.sigma[e])
+        if len(reached) != len(self.end_site):
+            raise InvalidTrack("track is not connected, so it has no genus")
         v = len(self.switches)
         e = len(self.edges)
         chi = v - e
@@ -422,74 +427,63 @@ class TrackIso:
     def labels(self) -> dict[str, str]:
         return dict(self.label_map)
 
-    @cached_property
-    def switches(self) -> dict[str, str]:
-        return dict(self.switch_map)
-
-
-def _switch_alignments(sv: Switch, dv: Switch):
-    """Candidate end pairings of sv onto dv, each side onto a side in order.
-
-    Both switch presentations of dv are tried.  Pairings that would flip an
-    end kind are dropped (flip-free semantics).
-    """
-    la, lb = len(sv.side_a), len(sv.side_b)
-    cands = []
-    for pa, pb in dv.presentations():
-        if len(pa) != la or len(pb) != lb:
-            continue
-        pairs = list(zip(sv.side_a, pa)) + list(zip(sv.side_b, pb))
-        if all(se[1] == de[1] for se, de in pairs):
-            cands.append(pairs)
-    return cands
-
 
 def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
     """All flip-free isomorphisms src -> dst in the embedded sense, without
-    reflection; sorted by label map."""
-    if len(src.edges) != len(dst.edges) or len(src.switches) != len(dst.switches):
-        return ()
+    reflection; sorted by label map.
+
+    An isomorphism is a bijection of ends that keeps end kinds, commutes
+    with `flip_end` and the ribbon successor `sigma`, and keeps whether
+    sigma(e) lies on the side of e.  So the image of one end fixes the map
+    on its whole component: each component costs one walk per candidate
+    image, and no search over switches is needed.
+    """
+    # equal side profiles give equal end counts, so a one-to-one end map
+    # is onto
     if src.side_profile != dst.side_profile:
         return ()
-
-    s_sw = sorted(src.switches, key=lambda sw: (-sw.valence, sw.name))
-    d_all = list(dst.switches)
+    s_sig, d_sig = src.sigma, dst.sigma
+    s_site, d_site = src.end_site, dst.end_site
     found: list[TrackIso] = []
-    seen: set[tuple] = set()
 
-    def rec(i: int, used: set[str], lmap: dict[str, str], smap: dict[str, str]):
-        if i == len(s_sw):
-            key = tuple(sorted(lmap.items()))
-            if key not in seen:
-                seen.add(key)
-                found.append(TrackIso(key, tuple(sorted(smap.items()))))
-            return
-        sv = s_sw[i]
-        for dv in d_all:
-            if dv.name in used:
+    def walk(fmap: dict[End, End], e: End, d: End) -> dict[End, End] | None:
+        """`fmap` grown from e -> d along flips and ribbon successors, or
+        None at the first clash."""
+        fmap = dict(fmap)
+        images = set(fmap.values())
+        stack = [(e, d)]
+        while stack:
+            e, d = stack.pop()
+            if e in fmap:
+                if fmap[e] != d:
+                    return None
                 continue
-            for pairs in _switch_alignments(sv, dv):
-                add: dict[str, str] = {}
-                ok = True
-                for se, de in pairs:
-                    cur = lmap.get(se[0], add.get(se[0]))
-                    if cur is None:
-                        if de[0] in lmap.values() or de[0] in add.values():
-                            ok = False
-                            break
-                        add[se[0]] = de[0]
-                    elif cur != de[0]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                lmap2 = dict(lmap)
-                lmap2.update(add)
-                smap2 = dict(smap)
-                smap2[sv.name] = dv.name
-                rec(i + 1, used | {dv.name}, lmap2, smap2)
+            if (d in images or e[1] != d[1]
+                    or (s_site[s_sig[e]][1] == s_site[e][1])
+                    != (d_site[d_sig[d]][1] == d_site[d][1])):
+                return None
+            fmap[e] = d
+            images.add(d)
+            stack.append((s_sig[e], d_sig[d]))
+            stack.append((flip_end(e), flip_end(d)))
+        return fmap
 
-    rec(0, set(), {}, {})
+    def extend(fmap: dict[End, End]) -> None:
+        """Every isomorphism that extends `fmap`, one component at a time."""
+        start = min((e for e in s_site if e not in fmap), default=None)
+        if start is None:
+            found.append(TrackIso(
+                tuple(sorted((e[0], d[0]) for e, d in fmap.items() if e[1] == "i")),
+                tuple(sorted({s_site[e][0]: d_site[d][0]
+                              for e, d in fmap.items()}.items())),
+            ))
+            return
+        for d in d_site:
+            grown = walk(fmap, start, d)
+            if grown is not None:
+                extend(grown)
+
+    extend({})
     found.sort(key=lambda iso: iso.label_map)
     return tuple(found)
 

@@ -9,7 +9,6 @@ class machinery.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable, Mapping
 
 from .errors import ParseError
@@ -162,10 +161,3 @@ def find_rotations(probe: Word, base: Word) -> tuple[int, ...]:
     if len(probe) != len(base):
         return ()
     return tuple(r for r in range(len(base)) if probe == rotate(base, r))
-
-
-def count_labels(word: Iterable[Letter]) -> Counter:
-    c: Counter = Counter()
-    for lab, _ in word:
-        c[lab] += 1
-    return c

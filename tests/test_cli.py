@@ -16,6 +16,19 @@ from ttlab.incidence import PerronData
 from ttlab.morphism import compose
 
 
+TWO_CIRCLES = """[track circles]
+edges = a b
+
+[switch v]
+side_a = i(a)
+side_b = t(a)
+
+[switch w]
+side_a = i(b)
+side_b = t(b)
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -276,13 +289,33 @@ def test_dilatation_bracket_past_the_digit_cap(capsys, monkeypatch):
     assert (doc["lower"], doc["upper"]) == (lower, upper)
 
 
-def test_exit_code_two_for_bad_input(capsys):
+def test_exit_code_two_for_bad_input(capsys, tmp_path):
     assert run(capsys, "track", "info", "/does/not/exist.tt")[0] == 2
     assert run(capsys, "atlas", "export", "zeta")[0] == 2
     assert run(capsys, "atlas", "phi", "--n", "4")[0] == 2
     assert run(capsys, "map", "check", "atlas:tau")[0] == 2
     assert run(capsys, "map", "certify", "atlas:phi2", "--tol", "0")[0] == 2
     assert run(capsys, "map", "dilatation", "atlas:phi2", "--tol", "nan")[0] == 2
+    f = tmp_path / "bad.tt"
+    f.write_text("[map bad]\nsource = atlas:tau\ntarget = atlas:tau\na = zz\n"
+                 + "".join(f"{lab} = {lab}\n" for lab in "bcdefghijkl"))
+    for argv in (("map", "dilatation", str(f)),
+                 ("map", "compose", str(f), "atlas:phi1"),
+                 ("map", "compose", "atlas:phi1", str(f)),
+                 ("map", "check", str(f)),
+                 ("map", "certify", str(f))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "line 1: map 'bad': image of 'a' uses unknown edge 'zz'" in err
+
+
+def test_disconnected_track_is_invalid(capsys, tmp_path):
+    f = tmp_path / "circles.tt"
+    f.write_text(TWO_CIRCLES)
+    for cmd in ("validate", "info"):
+        code, out, err = run(capsys, "track", cmd, str(f))
+        assert (code, out) == (1, "")
+        assert "track is not connected" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -131,6 +131,14 @@ def test_morphism_requires_edge_paths():
         TrackMorphism(t, t, images).check()
 
 
+def test_morphism_images_name_only_target_edges():
+    t = base_track()
+    images = {lab: parse_word(lab) for lab in t.edges}
+    images["a"] = parse_word("zz")
+    with pytest.raises(InvalidMorphism, match="image of 'a' uses unknown edge 'zz'"):
+        TrackMorphism(t, t, images)
+
+
 def test_morphism_endpoints_must_match():
     t = base_track()
     images = {lab: parse_word(lab) for lab in t.edges}

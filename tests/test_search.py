@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ttlab.atlas import (
     TWIST_GI_TEXT,
+    atlas,
     base_track,
     identification_ii,
     initial_track,
@@ -19,13 +20,14 @@ from ttlab.atlas import (
     t_gi,
     twisted_track,
 )
+from ttlab.certify import certify
 from ttlab.errors import (
     BadIndex,
     IllegalMove,
     NotAnIdentification,
     ResourceLimit,
 )
-from ttlab.morphism import compose, compose_chain, iso_morphism
+from ttlab.morphism import TrackMorphism, compose, compose_chain, iso_morphism
 from ttlab.search import (
     MAX_DEPTH,
     LoopResult,
@@ -261,6 +263,51 @@ def test_memoized_census_matches_plain_dfs(census):
     assert len(want) == 80
     assert _closures(census) == want
     assert [tuple(str(m) for m in r.sequence) for r in census] == sorted(want)
+
+
+def _conjugate(m, iso, src):
+    """The self map m carried onto `src` by iso: src -> m.source."""
+    there = iso_morphism(iso, src, m.source)
+    back = TrackMorphism(m.source, src,
+                         {y: ((x, 1),) for x, y in iso.label_map})
+    return compose(back, compose(m, there))
+
+
+def _assert_conjugate_certifies_alike(m, cert, iso, src):
+    moved = certify(_conjugate(m, iso, src))
+    assert moved.verdict == cert.verdict
+    assert moved.fixed_point_free == cert.fixed_point_free
+    assert moved.primitivity == cert.primitivity
+    if cert.perron is None:
+        assert moved.perron is None
+    else:
+        assert (moved.perron.lower, moved.perron.upper,
+                moved.perron.iterations) == \
+            (cert.perron.lower, cert.perron.upper, cert.perron.iterations)
+    back = {y: x for x, y in iso.label_map}
+    for r in cert.matrix.rows:
+        for c in cert.matrix.cols:
+            assert moved.matrix.entry(back[r], back[c]) == \
+                cert.matrix.entry(r, c)
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi3", "phi:5", "psi:2"])
+def test_certificates_survive_conjugation_onto_tau_prime(name):
+    m = atlas(name)
+    cert = certify(m)
+    isos = isomorphisms(twisted_track(), base_track())
+    assert len(isos) == 2
+    for iso in isos:
+        _assert_conjugate_certifies_alike(m, cert, iso, twisted_track())
+
+
+def test_census_certificates_survive_conjugation_onto_the_seed(census):
+    for r in census:
+        isos = isomorphisms(r.seed, r.final)
+        assert len(isos) == 2
+        for sm, cert in zip(r.self_maps, r.certificates, strict=True):
+            for iso in isos:
+                _assert_conjugate_certifies_alike(sm, cert, iso, r.seed)
 
 
 def test_replay_sigma1_closure():

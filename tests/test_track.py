@@ -1,6 +1,8 @@
 """Track structure: switches, ribbon boundaries, Euler data, isomorphism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab.atlas import (
     D1,
@@ -13,6 +15,7 @@ from ttlab.atlas import (
     twisted_track,
 )
 from ttlab.errors import InvalidTrack, NotOrientable, UnknownEntry
+from ttlab.splitting import apply_split, legal_splits
 from ttlab.track import (
     Switch,
     TrainTrack,
@@ -142,6 +145,148 @@ def test_isomorphisms_tau_to_tau_prime():
     assert len(swaps) == 1
 
 
+def _switch_alignments(sv, dv):
+    """Candidate end pairings of sv onto dv, each side onto a side in
+    order, under both presentations of dv; kind-flipping pairings drop."""
+    la, lb = len(sv.side_a), len(sv.side_b)
+    cands = []
+    for pa, pb in ((dv.side_a, dv.side_b),
+                   (tuple(reversed(dv.side_b)), tuple(reversed(dv.side_a)))):
+        if len(pa) != la or len(pb) != lb:
+            continue
+        pairs = list(zip(sv.side_a, pa)) + list(zip(sv.side_b, pb))
+        if all(se[1] == de[1] for se, de in pairs):
+            cands.append(pairs)
+    return cands
+
+
+def _reference_isomorphisms(src, dst):
+    """Reference: backtrack switch by switch over the alignments, as
+    (label map, switch map) pairs sorted by label map."""
+    if len(src.edges) != len(dst.edges) or len(src.switches) != len(dst.switches):
+        return []
+    if src.side_profile != dst.side_profile:
+        return []
+    s_sw = sorted(src.switches, key=lambda sw: (-sw.valence, sw.name))
+    found = {}
+
+    def rec(i, used, lmap, smap):
+        if i == len(s_sw):
+            found[tuple(sorted(lmap.items()))] = tuple(sorted(smap.items()))
+            return
+        sv = s_sw[i]
+        for dv in dst.switches:
+            if dv.name in used:
+                continue
+            for pairs in _switch_alignments(sv, dv):
+                add = {}
+                ok = True
+                for se, de in pairs:
+                    cur = lmap.get(se[0], add.get(se[0]))
+                    if cur is None:
+                        if de[0] in lmap.values() or de[0] in add.values():
+                            ok = False
+                            break
+                        add[se[0]] = de[0]
+                    elif cur != de[0]:
+                        ok = False
+                        break
+                if ok:
+                    rec(i + 1, used | {dv.name}, {**lmap, **add},
+                        {**smap, sv.name: dv.name})
+
+    rec(0, set(), {}, {})
+    return sorted(found.items())
+
+
+def _assert_walk_matches_reference(src, dst):
+    got = [(iso.label_map, iso.switch_map) for iso in isomorphisms(src, dst)]
+    assert got == _reference_isomorphisms(src, dst)
+
+
+SEEDS = st.sampled_from([base_track, twisted_track, initial_track])
+
+
+def _walk(t, picks):
+    for pick in picks:
+        options = legal_splits(t)
+        t, _ = apply_split(t, options[pick % len(options)])
+    return t
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.tuples(SEEDS, SEEDS),
+       picks=st.tuples(*[st.lists(st.integers(0, 10**6), max_size=5)] * 2),
+       image=st.permutations("abcdefghijkl"))
+def test_walk_matches_backtracking_on_split_tracks(seeds, picks, image):
+    t, u = (_walk(seed(), p) for seed, p in zip(seeds, picks))
+    relabelled = u.relabel(dict(zip("abcdefghijkl", image)))
+    for src, dst in ((t, u), (t, relabelled), (seeds[0](), relabelled),
+                     (t, t.relabel(dict(zip("abcdefghijkl", image))))):
+        _assert_walk_matches_reference(src, dst)
+
+
+@st.composite
+def _switch_block(draw, labels, n_max, prefix):
+    """1..n_max switches holding exactly the ends of `labels`, sides mixing
+    i and t ends."""
+    ends = draw(st.permutations([(lab, k) for lab in labels for k in "it"]))
+    n_sw = draw(st.integers(1, min(n_max, len(labels))))
+    sizes = [2] * n_sw
+    for i in draw(st.lists(st.integers(0, n_sw - 1),
+                           min_size=len(ends) - 2 * n_sw,
+                           max_size=len(ends) - 2 * n_sw)):
+        sizes[i] += 1
+    switches, at = [], 0
+    for k, size in enumerate(sizes):
+        cut = draw(st.integers(1, size - 1))
+        part = tuple(ends[at:at + size])
+        switches.append(Switch(f"{prefix}{k}", part[:cut], part[cut:]))
+        at += size
+    return tuple(switches)
+
+
+@st.composite
+def small_tracks(draw, n_edges):
+    """Any track on `n_edges` edges and 1-4 switches; often disconnected,
+    by chance or by being drawn as two blocks."""
+    labels = "abcde"[:n_edges]
+    cut = draw(st.integers(0, n_edges - 1))
+    blocks = [labels[:cut], labels[cut:]] if cut else [labels]
+    switches = ()
+    for k, block in enumerate(blocks):
+        switches += draw(_switch_block(block, 4 // len(blocks), f"v{k}_"))
+    return TrainTrack("small", labels, switches)
+
+
+@st.composite
+def small_track_pairs(draw):
+    """A small track and either an independent one of its size or a copy
+    with edges relabelled, switches renamed, reordered and re-presented."""
+    n = draw(st.integers(1, 5))
+    src = draw(small_tracks(n))
+    if draw(st.booleans()):
+        return src, draw(small_tracks(n))
+    image = draw(st.permutations("abcde"[:n]))
+    t = src.relabel(dict(zip("abcde", image)))
+    names = draw(st.permutations([f"w{k}" for k in range(len(t.switches))]))
+    flips = draw(st.lists(st.booleans(), min_size=len(names),
+                          max_size=len(names)))
+    switches = [
+        Switch(name, tuple(reversed(sw.side_b)), tuple(reversed(sw.side_a)))
+        if flip else Switch(name, sw.side_a, sw.side_b)
+        for sw, name, flip in zip(t.switches, names, flips)]
+    return src, TrainTrack("copy", t.edges, tuple(draw(st.permutations(switches))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=small_track_pairs())
+def test_walk_matches_backtracking_on_small_tracks(pair):
+    src, dst = pair
+    for a, b in ((src, dst), (dst, src), (src, src)):
+        _assert_walk_matches_reference(a, b)
+
+
 def test_canonical_key_is_label_sensitive_but_name_blind():
     t = base_track()
     # switch names do not matter
@@ -186,6 +331,17 @@ def test_every_end_placed_exactly_once():
                 Switch("w", (end("a", "i"),), (end("b", "i"), end("b", "t"))),
             ),
         ).validate()
+
+
+def test_disconnected_track_fails_validation():
+    t = TrainTrack(
+        "circles",
+        ("a", "b"),
+        (Switch("v", (end("a", "i"),), (end("a", "t"),)),
+         Switch("w", (end("b", "i"),), (end("b", "t"),))),
+    )
+    with pytest.raises(InvalidTrack, match="not connected"):
+        t.validate()
 
 
 def test_track_needs_an_edge():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ttlab.errors import ParseError
 from ttlab.words import (
-    count_labels,
     cyclic_reduce,
     cyclic_reduce_marked,
     find_rotations,
@@ -131,11 +130,6 @@ def test_find_rotations_all_matches():
 
 def test_word_key_orders():
     assert word_key(parse_word("a b")) < word_key(parse_word("a c"))
-
-
-def test_count_labels_unsigned():
-    c = count_labels(parse_word("a -a b a"))
-    assert c["a"] == 3 and c["b"] == 1
 
 
 def test_reduction_random_involution():
