@@ -8,6 +8,9 @@ The verdict logic:
                 carries exactly one interior periodic point, none degenerate
   inconclusive  anything else
 
+Only a self map of a connected track is certified; a disconnected one
+raises InvalidTrack, as genus does.
+
 A map is certified fixed point free when no edge image runs over its own
 edge, every side orbit has period at least two, and the side dynamics is
 not degenerate.  Both boundary readings are reported: each boundary circle
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import BoundaryAction, SideDynamics, boundary_action, side_dynamics
-from .errors import NoConvergence, NotASelfMap, TrackError
+from .errors import InvalidTrack, NoConvergence, NotASelfMap, TrackError
 from .incidence import (
     IncidenceMatrix,
     IrreducibilityReport,
@@ -88,6 +91,8 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
     check_tolerance(tol)
     if not m.is_self_map:
         raise NotASelfMap("certification needs a self map")
+    if not m.source.connected:
+        raise InvalidTrack("certification needs a connected track")
     m.check()
 
     warnings: list[str] = []

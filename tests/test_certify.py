@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 from ttlab.atlas import atlas, base_track, phi, phi1, phi2, phi3, psi, t_ig
 from ttlab.certify import certify, render_text, to_json, to_json_dict
-from ttlab.errors import BadIndex, NotASelfMap
+from ttlab.errors import BadIndex, InvalidTrack, NotASelfMap
 from ttlab.incidence import dilatation, incidence_matrix
-from ttlab.morphism import compose, identity_morphism, relabel_morphism
+from ttlab.morphism import (
+    TrackMorphism,
+    compose,
+    identity_morphism,
+    relabel_morphism,
+)
+from ttlab.track import Switch, TrainTrack, end
 
 PHI2_DILATATION = 2.2966302628865
 
@@ -107,6 +113,21 @@ def test_certificate_invariant_under_relabelling(name, image):
 def test_certify_requires_self_map():
     with pytest.raises(NotASelfMap):
         certify(t_ig())
+
+
+def test_certify_requires_connected_track():
+    circles = TrainTrack(
+        "circles",
+        ("a", "b"),
+        (Switch("v", (end("a", "i"),), (end("a", "t"),)),
+         Switch("w", (end("b", "i"),), (end("b", "t"),))),
+    )
+    assert not circles.connected
+    swap = TrackMorphism(circles, circles, {"a": (("b", 1),),
+                                            "b": (("a", 1),)})
+    swap.check()
+    with pytest.raises(InvalidTrack, match="connected track"):
+        certify(swap)
 
 
 def test_custom_tolerance():

@@ -318,6 +318,15 @@ def test_disconnected_track_is_invalid(capsys, tmp_path):
         assert "track is not connected" in err
 
 
+def test_certify_on_a_disconnected_track_is_invalid(capsys, tmp_path):
+    f = tmp_path / "swap.tt"
+    f.write_text(TWO_CIRCLES + "\n[map swap]\nsource = circles\n"
+                 "target = circles\na = b\nb = a\n")
+    code, out, err = run(capsys, "map", "certify", str(f))
+    assert (code, out) == (1, "")
+    assert "certification needs a connected track" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("map", "check", "atlas:phi:999999999999"),
     ("map", "check", "atlas:psi:99999999"),

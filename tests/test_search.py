@@ -20,13 +20,14 @@ from ttlab.atlas import (
     t_gi,
     twisted_track,
 )
-from ttlab.certify import certify
+from ttlab.certify import certify, render_text, to_json
 from ttlab.errors import (
     BadIndex,
     IllegalMove,
     NotAnIdentification,
     ResourceLimit,
 )
+from ttlab.incidence import incidence_matrix
 from ttlab.morphism import TrackMorphism, compose, compose_chain, iso_morphism
 from ttlab.search import (
     MAX_DEPTH,
@@ -308,6 +309,60 @@ def test_census_certificates_survive_conjugation_onto_the_seed(census):
         for sm, cert in zip(r.self_maps, r.certificates, strict=True):
             for iso in isos:
                 _assert_conjugate_certifies_alike(sm, cert, iso, r.seed)
+
+
+def test_census_certifies_each_distinct_closure_once(monkeypatch):
+    calls = []
+
+    def counted(m, tol):
+        calls.append(m.name)
+        return certify(m, tol=tol)
+
+    monkeypatch.setattr("ttlab.search.certify", counted)
+    loops = search_loops(twisted_track(), SearchConfig(max_depth=4))
+    assert sum(len(r.certificates) for r in loops) == 160
+    assert len(calls) == 22
+
+
+def test_shared_certificates_match_fresh_ones(census):
+    for r in census:
+        for sm, cert in zip(r.self_maps, r.certificates, strict=True):
+            assert cert.map_name == sm.name
+            fresh = certify(sm)
+            assert to_json(cert) == to_json(fresh)
+            assert render_text(cert) == render_text(fresh)
+
+
+def _components(arcs):
+    """The strongly connected components of the digraph `arcs`, which maps
+    each node to the nodes it has arcs to."""
+    reach = {}
+    for x in arcs:
+        seen, todo = {x}, [x]
+        while todo:
+            for y in arcs[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        reach[x] = seen
+    return {"".join(sorted(y for y in reach[x] if x in reach[y]))
+            for x in arcs}
+
+
+def test_depth_four_closures_share_four_components(census):
+    # conjugated onto the seed, every closure's incidence digraph lies in
+    # one union whose components are these four, so no product of the
+    # closures is irreducible
+    from_tau = search_loops(base_track(),
+                            SearchConfig(max_depth=4, certify=False))
+    for loops in (census, from_tau):
+        assert len(loops) == 80
+        arcs = {lab: set() for lab in loops[0].seed.edges}
+        for r in loops:
+            for iso, sm in zip(r.identifications, r.self_maps, strict=True):
+                mat = incidence_matrix(_conjugate(sm, iso, r.seed))
+                for lab, row in zip(mat.rows, mat.data):
+                    arcs[lab].update(c for c, x in zip(mat.cols, row) if x)
+        assert _components(arcs) == {"acegik", "bh", "dj", "fl"}
 
 
 def test_replay_sigma1_closure():
