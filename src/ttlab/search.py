@@ -7,12 +7,13 @@ with their certificates.
 
 Which moves close up from a track depends only on its structure and on the
 depth left, so the search expands each (structure, remaining depth) once and
-shares the result among every path that reaches it.  The closing sequences
-are then replayed from the seed, one by one, to build their maps.  Within
-one search, closures with the same final track and edge images get the same
-certificate up to the map name, so each such pair is certified once: the
-depth-4 census from tau_prime certifies 22 pairs for its 160 closures, and
-depth 6 certifies 122 for 1,024.
+shares the result among every path that reaches it.  Expansions split the
+bare switches and their end sites; a TrainTrack is built and validated only
+for an isomorphism test.  The closing sequences are then replayed from the
+seed, one by one, to build their maps.  Within one search, closures with the
+same final track and edge images get the same certificate up to the map
+name, so each such pair is certified once: the depth-4 census from tau_prime
+certifies 22 pairs for its 160 closures, and depth 6 certifies 122 for 1,024.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .morphism import TrackMorphism, compose, iso_morphism
 from .splitting import (
     SplitMove,
     SplitRun,
+    _Layout,
     _moves_at,
+    _split,
     apply_sequence,
     format_sequence,
-    split_switches,
 )
 from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
 
@@ -133,7 +135,7 @@ def _structure_key(switches: tuple[Switch, ...]) -> str:
     return ";".join(sw.structure_text for sw in switches)
 
 
-def _moves_with_profiles(track: TrainTrack):
+def _moves_with_profiles(track: TrainTrack | _Layout):
     """Each legal move on `track` as (slid, over, profile), where `profile`
     lists the side sizes, sorted, of the track the move splits into.
 
@@ -185,6 +187,7 @@ class _LoopSearch:
     move's side profile is worked out without splitting, and such a move
     is not split (IDA*-style lower-bound pruning).  `closes` keeps, under
     each tested track's key, the isomorphisms from the seed onto it.
+    A child's layout is its parent's with the rebuilt switches re-sited.
     """
 
     def __init__(self, seed: TrainTrack, cfg: SearchConfig):
@@ -195,26 +198,25 @@ class _LoopSearch:
         self.memo: list[dict[str, tuple]] = [{} for _ in range(cfg.max_depth)]
         self.closes: dict[str, tuple[TrackIso, ...]] = {}
 
-    def _track(self, switches: tuple[Switch, ...]) -> TrainTrack:
-        """A validated track on `switches`; one expansion of the budget."""
+    def _expand(self) -> None:
+        """Count one expansion against the budget."""
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise ResourceLimit(
                 f"search expanded more than {self.max_nodes} tracks")
-        return TrainTrack(self.seed.name, self.seed.edges, switches)
 
-    def _closes(self, switches: tuple[Switch, ...], key: str,
-                track: TrainTrack | None = None) -> tuple[TrackIso, ...]:
+    def _closes(self, switches: tuple[Switch, ...],
+                key: str) -> tuple[TrackIso, ...]:
         """The isomorphisms from the seed onto the track on `switches`,
-        whose side profile matches the seed's; a caller that already holds
-        the track passes it."""
+        whose side profile matches the seed's."""
         isos = self.closes.get(key)
         if isos is None:
-            isos = isomorphisms(self.seed, track or self._track(switches))
+            isos = isomorphisms(self.seed, TrainTrack(
+                self.seed.name, self.seed.edges, switches))
             self.closes[key] = isos
         return isos
 
-    def suffixes(self, track: TrainTrack,
+    def suffixes(self, track: TrainTrack | _Layout,
                  depth: int) -> tuple[tuple[SplitMove, ...], ...]:
         """The closing suffixes of `track`, with `depth` >= 1 moves left."""
         found = []
@@ -225,17 +227,21 @@ class _LoopSearch:
             if lacking > 2 * left:
                 continue
             mv = SplitMove(slid, over)
-            switches = split_switches(track, mv)
+            switches, rebuilt = _split(track, mv)
             key = _structure_key(switches)
             if not left:
+                if key not in self.closes:
+                    self._expand()  # a leaf isomorphism check
                 if self._closes(switches, key):
                     found.append((mv,))
                 continue
             tail = memo.get(key)
             if tail is None:
-                child = self._track(switches)
+                self._expand()
+                child = _Layout(track)
+                child.split(switches, rebuilt)
                 tail = self.suffixes(child, left)
-                if not lacking and self._closes(switches, key, child):
+                if not lacking and self._closes(switches, key):
                     tail = ((),) + tail
                 memo[key] = tail
             found.extend((mv,) + s for s in tail)

@@ -24,7 +24,8 @@ from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
-from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
+from .track import (End, Switch, TrainTrack, flip_end, format_end, parse_end,
+                    site_ends)
 from .words import Word, inv_letter, inverse, join
 
 
@@ -86,11 +87,38 @@ def _moves_at(sw: Switch) -> list[tuple[End, End, str]]:
             if len(slid_side) > 1 and slid[0] != over[0]]
 
 
+class _Layout:
+    """The switches, end sites and switch positions of a track, which is
+    all the split kernel reads of it.  Splitting keeps switch names and
+    order, so `switch_index` serves a whole run.  A legal move takes an end
+    from a side that keeps another and puts it back on a side, so it keeps
+    all that TrainTrack validates: a run of moves needs a TrainTrack only
+    where a caller does."""
+
+    __slots__ = ("switches", "end_site", "switch_index")
+
+    def __init__(self, track):
+        self.switches = track.switches
+        self.end_site = dict(track.end_site)
+        self.switch_index = track.switch_index
+
+    def split(self, switches: tuple[Switch, ...], rebuilt) -> None:
+        """Take on `switches`, which differ from ours at the positions
+        `rebuilt`."""
+        self.switches = switches
+        for k in rebuilt:
+            site_ends(self.end_site, switches[k])
+
+
+def _switch(track, name: str) -> Switch:
+    return track.switches[track.switch_index[name]]
+
+
 def _case(track: TrainTrack, move: SplitMove) -> str | None:
     """The case of `move` on `track`, None when the move is illegal."""
     site = track.end_site.get(move.slid)
     if site is not None:
-        for slid, over, case in _moves_at(track.switch_by_name[site[0]]):
+        for slid, over, case in _moves_at(_switch(track, site[0])):
             if slid == move.slid and over == move.over:
                 return case
     return None
@@ -119,7 +147,7 @@ def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
     if side_s == side_o:
         raise IllegalMove(f"{move}: ends sit on the same side", move=move,
                           reason="same-side")
-    sw = track.switch_by_name[vs]
+    sw = _switch(track, vs)
     if sw.valence < 4:
         raise IllegalMove(f"{move}: switch {vs} has valence {sw.valence} < 4",
                           move=move, reason="valence")
@@ -161,29 +189,28 @@ def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
 
 
 def _moved(track: TrainTrack, e: End, dest: str, side: str,
-           at) -> tuple[Switch, ...]:
+           at) -> tuple[tuple[Switch, ...], tuple[int, ...]]:
     """The switches of `track` with end `e` moved to side `side` of switch
     `dest`, at index `at(ends)`, where `ends` lists that side once `e` has
-    left.  Switches the edit leaves alone are the original objects."""
+    left, and the positions of the switches rebuilt.  Switches the edit
+    leaves alone are the original objects."""
     src, side_e, idx = track.end_site[e]
-    by_name = track.switch_by_name
-    sides = {n: (list(by_name[n].side_a), list(by_name[n].side_b))
-             for n in (src, dest)}
-    del sides[src][0 if side_e == "A" else 1][idx]
-    ends = sides[dest][0 if side == "A" else 1]
+    s, d = track.switch_index[src], track.switch_index[dest]
+    switches = list(track.switches)
+    sides = {k: (list(switches[k].side_a), list(switches[k].side_b))
+             for k in (s, d)}
+    del sides[s][0 if side_e == "A" else 1][idx]
+    ends = sides[d][0 if side == "A" else 1]
     ends.insert(at(ends), e)
-    return tuple(
-        Switch(sw.name, tuple(sides[sw.name][0]), tuple(sides[sw.name][1]))
-        if sw.name in sides else sw
-        for sw in track.switches
-    )
+    for k, (a, b) in sides.items():
+        switches[k] = Switch(switches[k].name, tuple(a), tuple(b))
+    return tuple(switches), tuple(sides)
 
 
-def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
-    """The switches of the track `move` splits `track` into, in the same
-    order and under the same names.  This is the structure-only kernel of
-    apply_split: no track is built or validated.  Switches the move leaves
-    alone are the original objects."""
+def _split(track: TrainTrack,
+           move: SplitMove) -> tuple[tuple[Switch, ...], tuple[int, ...]]:
+    """split_switches, with the positions of the switches the move
+    rebuilt."""
     case = _case(track, move)
     if case is None:
         _reject(track, move)
@@ -194,6 +221,14 @@ def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
     step = (case == "after") == (side_f == "A")
     return _moved(track, move.slid, w, side_f,
                   lambda ends: ends.index(far) + step)
+
+
+def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
+    """The switches of the track `move` splits `track` into, in the same
+    order and under the same names.  This is the structure-only kernel of
+    apply_split: no track is built or validated.  Switches the move leaves
+    alone are the original objects."""
+    return _split(track, move)[0]
 
 
 def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
@@ -219,7 +254,7 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
             cand = TrainTrack(track.name, track.edges,
-                              _moved(track, move.slid, v, opp, at))
+                              _moved(track, move.slid, v, opp, at)[0])
             if split_switches(cand, move) == track.switches:
                 survivors.append(cand)
         except (IllegalMove, InvalidTrack):
@@ -252,30 +287,38 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
     to the start.  IllegalMove carries the index and the track reached.
 
+    Every move is checked for legality on one layout, updated in place;
+    only the final track, or the one a move fails on, is built (_Layout).
+
     A move changes only the image of its slid edge: x r becomes the join of
     the images of x and r (r^-1 x likewise).  Both are reduced, so the
     composite grows at the seam and is reduced there alone; a composite of
     splits is a train path, which never cancels at the seam.  When one side
     of each switch holds only t ends and the other only i ends, as on the
     atlas tracks, r is a positive letter and no image is inverted either."""
-    current = track
+    layout = _Layout(track)
     images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
 
     def image(lt):
         return images[lt[0]] if lt[1] > 0 else inverse(images[lt[0]])
 
+    def reached() -> TrainTrack:
+        if layout.switches is track.switches:  # no move made yet
+            return track
+        return TrainTrack(track.name, track.edges, layout.switches)
+
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
-            current = TrainTrack(current.name, current.edges,
-                                 split_switches(current, mv))
+            layout.split(*_split(layout, mv))
         except IllegalMove as exc:
             raise IllegalMove(
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
-                track=current,
+                track=reached(),
             ) from exc
         u, v = _slid_image(mv)
         images[mv.slid[0]] = join(image(u), image(v))
+    final = reached()
     name = ".".join(["id"] + [str(mv) for mv in mv_tuple])
-    return SplitRun(track, current, mv_tuple,
-                    TrackMorphism(current, track, images, name=name))
+    return SplitRun(track, final, mv_tuple,
+                    TrackMorphism(final, track, images, name=name))

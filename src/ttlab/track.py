@@ -94,6 +94,15 @@ class Switch:
                 f"/{','.join(k + lab for lab, k in b)}")
 
 
+def site_ends(site: dict, sw: Switch) -> None:
+    """Enter each end of `sw` in `site` as (switch name, side letter,
+    index within the side)."""
+    for i, e in enumerate(sw.side_a):
+        site[e] = (sw.name, "A", i)
+    for i, e in enumerate(sw.side_b):
+        site[e] = (sw.name, "B", i)
+
+
 def side_profile(switches) -> tuple[int, ...]:
     """Sorted multiset of the side sizes of `switches`."""
     sizes = []
@@ -205,18 +214,16 @@ class TrainTrack:
     # lookups (cached_property writes to __dict__, fine on frozen classes)
 
     @cached_property
-    def switch_by_name(self) -> dict[str, Switch]:
-        return {sw.name: sw for sw in self.switches}
+    def switch_index(self) -> dict[str, int]:
+        """switch name -> position in `switches`."""
+        return {sw.name: k for k, sw in enumerate(self.switches)}
 
     @cached_property
     def end_site(self) -> dict[End, tuple[str, str, int]]:
         """end -> (switch name, side letter, index within the side)."""
         site: dict[End, tuple[str, str, int]] = {}
         for sw in self.switches:
-            for i, e in enumerate(sw.side_a):
-                site[e] = (sw.name, "A", i)
-            for i, e in enumerate(sw.side_b):
-                site[e] = (sw.name, "B", i)
+            site_ends(site, sw)
         return site
 
     @cached_property

@@ -146,6 +146,17 @@ def test_census_memo_sizes():
     assert search.nodes == 534
 
 
+def test_depth_six_search_counters():
+    # the budget counts expansions, memo misses plus leaf isomorphism
+    # checks, however many tracks the search builds
+    seed = twisted_track()
+    search = _LoopSearch(seed, SearchConfig(max_depth=6))
+    assert len(search.suffixes(seed, 6)) == 512
+    assert search.nodes == 7345
+    assert [len(m) for m in search.memo] == [0, 1485, 3630, 1796, 260, 24]
+    assert len(search.closes) == 164
+
+
 def _counter_lacking(profile, seed):
     return sum((Counter(profile) - Counter(seed)).values())
 

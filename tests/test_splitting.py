@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from ttlab.atlas import base_track, initial_track, s1_moves, twisted_track
 from ttlab.errors import IllegalMove, ParseError
+from ttlab.incidence import incidence_matrix, mat_mult
 from ttlab.morphism import compose, identity_morphism
 from ttlab.splitting import (
     SplitMove,
+    _Layout,
+    _split,
     apply_sequence,
     apply_split,
     format_sequence,
@@ -111,14 +114,21 @@ def test_every_illegal_move_reason(prefix, token, reason, message):
 
 def test_apply_sequence_reports_failing_index():
     t = base_track()
-    first = legal_splits(t)[0]
     bad = SplitMove(("a", "i"), ("a", "t"))
-    try:
-        apply_sequence(t, (first, bad))
-    except IllegalMove as err:
-        assert err.index == 1
-    else:
-        raise AssertionError("expected IllegalMove")
+    for k in (0, 1, 4):
+        walk, _ = _picked_walk(t, [5, 17, 2, 9][:k])
+        moves = walk + (bad, legal_splits(t)[0])
+        with pytest.raises(IllegalMove) as exc:
+            apply_sequence(t, moves)
+        err = exc.value
+        assert err.index == k
+        assert err.move == bad and err.reason == "same-edge"
+        assert str(err) == \
+            f"move {k}: i(a)/t(a): cannot slide an edge over itself"
+        # the track reached before move k, built and validated
+        assert isinstance(err.track, TrainTrack)
+        assert err.track.switches == \
+            apply_sequence(t, moves[:k]).final.switches
 
 
 def test_split_morphism_shape():
@@ -273,10 +283,31 @@ def _reversed_edges(t, labels):
         Switch(sw.name, ends(sw.side_a), ends(sw.side_b)) for sw in t.switches))
 
 
+# the atlas seeds, and one whose sides mix i and t ends
+WALK_STARTS = st.sampled_from([base_track, twisted_track, initial_track,
+                               lambda: _reversed_edges(base_track(), "acfhk")])
+
+
 @settings(max_examples=60, deadline=None)
-@given(start=st.sampled_from([
-           base_track, twisted_track, initial_track,
-           lambda: _reversed_edges(base_track(), "acfhk")]),
+@given(start=WALK_STARTS,
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30))
+def test_layout_sites_match_the_built_track(start, picks):
+    # a run of splits updates the end sites of the switches each move
+    # rebuilt; they must be those of a track built and validated afresh
+    t0 = start()
+    sites = dict(t0.end_site)
+    layout = _Layout(t0)
+    for pick in picks:
+        options = legal_splits(layout)
+        layout.split(*_split(layout, options[pick % len(options)]))
+        built = TrainTrack(t0.name, t0.edges, layout.switches)
+        assert layout.end_site == built.end_site
+        assert layout.switch_index == built.switch_index
+    assert t0.end_site == sites  # the start's own sites stay put
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=WALK_STARTS,
        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
 def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
     t0 = start()
@@ -291,3 +322,19 @@ def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
     assert run.morphism == composite
     assert run.morphism.name == composite.name
     assert run.morphism.source is run.final and run.morphism.target is t0
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=STARTS, picks=st.lists(st.integers(min_value=0, max_value=10**6),
+                                    max_size=12))
+def test_sequence_incidence_is_the_product_of_its_splits(start, picks):
+    # M(f . g) = M(g) M(f): the run's morphism is step 1 after step 2 after
+    # ..., so the first step's matrix comes last in the product
+    t0 = start()
+    moves, _ = _picked_walk(t0, picks)
+    run = apply_sequence(t0, moves)
+    t, product = t0, incidence_matrix(identity_morphism(t0)).data
+    for mv in moves:
+        t, step = apply_split(t, mv)
+        product = mat_mult(incidence_matrix(step).data, product)
+    assert incidence_matrix(run.morphism).data == tuple(map(tuple, product))
