@@ -150,7 +150,7 @@ def _moves_with_profiles(track: TrainTrack | _Layout):
                 side_of[e] = len(sizes)
             sizes.append(len(side))
     for sw in track.switches:
-        for slid, over, _ in _moves_at(sw):
+        for slid, over in _moves_at(sw):
             profile = sizes.copy()
             profile[side_of[slid]] -= 1
             profile[side_of[flip_end(over)]] += 1
@@ -187,7 +187,7 @@ class _LoopSearch:
     move's side profile is worked out without splitting, and such a move
     is not split (IDA*-style lower-bound pruning).  `closes` keeps, under
     each tested track's key, the isomorphisms from the seed onto it.
-    A child's layout is its parent's with the rebuilt switches re-sited.
+    A child's layout is its parent's with the ends the move shifted re-sited.
     """
 
     def __init__(self, seed: TrainTrack, cfg: SearchConfig):
@@ -227,7 +227,7 @@ class _LoopSearch:
             if lacking > 2 * left:
                 continue
             mv = SplitMove(slid, over)
-            switches, rebuilt = _split(track, mv)
+            switches, shifted = _split(track, mv)
             key = _structure_key(switches)
             if not left:
                 if key not in self.closes:
@@ -239,7 +239,7 @@ class _LoopSearch:
             if tail is None:
                 self._expand()
                 child = _Layout(track)
-                child.split(switches, rebuilt)
+                child.split(switches, shifted)
                 tail = self.suffixes(child, left)
                 if not lacking and self._closes(switches, key):
                     tail = ((),) + tail

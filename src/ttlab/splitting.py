@@ -3,8 +3,9 @@
 A move END(x)/END(y) slides the end of edge x over the end of edge y.  The
 two ends must sit at one switch on opposite sides, ribbon-adjacent at an
 extremity of the switch: first of side A with first of side B, or last of A
-with last of B.  The slid end leaves the switch and reattaches at the far
-end of the over edge, next to it.
+with last of B, so the two extremity pairs of the slid end's switch decide a
+move.  The slid end leaves the switch and reattaches at the far end of the
+over edge, next to it; only the two sides it leaves and joins change.
 
 The move comes with a morphism from the NEW track back to the OLD one: the
 slid edge now rides along the over edge, every other edge is untouched.
@@ -24,8 +25,7 @@ from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
-from .track import (End, Switch, TrainTrack, flip_end, format_end, parse_end,
-                    site_ends)
+from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
 from .words import Word, inv_letter, inverse, join
 
 
@@ -68,23 +68,20 @@ def format_sequence(moves) -> str:
 # ----------------------------------------------------------------------
 
 
-def _moves_at(sw: Switch) -> list[tuple[End, End, str]]:
-    """The legal moves at `sw` as (slid, over, case): the ends are
+def _moves_at(sw: Switch) -> list[tuple[End, End]]:
+    """The legal moves at `sw` as (slid, over) pairs: the ends are
     ribbon-adjacent at an extremity of a switch of valence >= 4, of
-    different edges, and the slid side keeps an end.
-
-    after:  sigma(slid) == over  (pairs A[-1]/B[-1] and B[0]/A[0])
-    before: sigma(over) == slid  (pairs B[-1]/A[-1] and A[0]/B[0])
-    """
+    different edges, and the slid side keeps an end."""
     a, b = sw.side_a, sw.side_b
     if len(a) + len(b) < 4:
         return []
-    return [(slid, over, case)
-            for slid_side, slid, over, case in ((a, a[-1], b[-1], "after"),
-                                                (b, b[-1], a[-1], "before"),
-                                                (a, a[0], b[0], "before"),
-                                                (b, b[0], a[0], "after"))
+    return [(slid, over)
+            for slid_side, slid, over in ((a, a[-1], b[-1]), (b, b[-1], a[-1]),
+                                          (a, a[0], b[0]), (b, b[0], a[0]))
             if len(slid_side) > 1 and slid[0] != over[0]]
+
+
+_Runs = tuple[tuple[int, str, int], ...]  # (switch position, side, first)
 
 
 class _Layout:
@@ -93,7 +90,7 @@ class _Layout:
     order, so `switch_index` serves a whole run.  A legal move takes an end
     from a side that keeps another and puts it back on a side, so it keeps
     all that TrainTrack validates: a run of moves needs a TrainTrack only
-    where a caller does."""
+    where a caller does.  A move re-sites only the ends it shifts (_moved)."""
 
     __slots__ = ("switches", "end_site", "switch_index")
 
@@ -102,25 +99,36 @@ class _Layout:
         self.end_site = dict(track.end_site)
         self.switch_index = track.switch_index
 
-    def split(self, switches: tuple[Switch, ...], rebuilt) -> None:
-        """Take on `switches`, which differ from ours at the positions
-        `rebuilt`."""
+    def split(self, switches: tuple[Switch, ...], shifted: _Runs) -> None:
+        """Take on `switches`; each end whose site moved is in a run of
+        `shifted`, from its first index to the end of its side."""
         self.switches = switches
-        for k in rebuilt:
-            site_ends(self.end_site, switches[k])
+        site = self.end_site
+        for k, side, first in shifted:
+            sw = switches[k]
+            ends = sw.side_a if side == "A" else sw.side_b
+            for i in range(first, len(ends)):
+                site[ends[i]] = (sw.name, side, i)
 
 
 def _switch(track, name: str) -> Switch:
     return track.switches[track.switch_index[name]]
 
 
-def _case(track: TrainTrack, move: SplitMove) -> str | None:
-    """The case of `move` on `track`, None when the move is illegal."""
+def _extremity(track, move: SplitMove) -> bool | None:
+    """True when `move` slides the last end of a side over the last end of
+    the other side, False when the first over the first, None when `move`
+    is illegal: the test of _moves_at, made for one move."""
     site = track.end_site.get(move.slid)
-    if site is not None:
-        for slid, over, case in _moves_at(_switch(track, site[0])):
-            if slid == move.slid and over == move.over:
-                return case
+    if site is None or move.slid[0] == move.over[0]:
+        return None
+    v, side, idx = site
+    sw = track.switches[track.switch_index[v]]
+    own, other = (sw.side_a, sw.side_b) if side == "A" else (sw.side_b, sw.side_a)
+    last = idx == len(own) - 1
+    if (len(own) > 1 and len(own) + len(other) >= 4 and (last or idx == 0)
+            and other[-1 if last else 0] == move.over):
+        return last
     return None
 
 
@@ -162,13 +170,13 @@ def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
 
 
 def is_legal(track: TrainTrack, move: SplitMove) -> bool:
-    return _case(track, move) is not None
+    return _extremity(track, move) is not None
 
 
 def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
     """All legal moves, sorted by notation for deterministic traversal."""
     return tuple(sorted((SplitMove(slid, over) for sw in track.switches
-                         for slid, over, _ in _moves_at(sw)), key=str))
+                         for slid, over in _moves_at(sw)), key=str))
 
 
 def _ride_letter(over: End):
@@ -188,39 +196,53 @@ def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
     return images
 
 
-def _moved(track: TrainTrack, e: End, dest: str, side: str,
-           at) -> tuple[tuple[Switch, ...], tuple[int, ...]]:
-    """The switches of `track` with end `e` moved to side `side` of switch
-    `dest`, at index `at(ends)`, where `ends` lists that side once `e` has
-    left, and the positions of the switches rebuilt.  Switches the edit
-    leaves alone are the original objects."""
+def _moved(track, e: End, dest: str, side: str,
+           at: int) -> tuple[tuple[Switch, ...], _Runs]:
+    """The switches of `track` with end `e` moved to index `at` of side
+    `side` of switch `dest`, counted once `e` has left (past the end: last),
+    and the runs of ends whose sites that shifts: from where `e` left its
+    side and from where it joined one, to the side's end.  Switches the
+    edit leaves alone are the original objects."""
     src, side_e, idx = track.end_site[e]
     s, d = track.switch_index[src], track.switch_index[dest]
     switches = list(track.switches)
-    sides = {k: (list(switches[k].side_a), list(switches[k].side_b))
-             for k in (s, d)}
-    del sides[s][0 if side_e == "A" else 1][idx]
-    ends = sides[d][0 if side == "A" else 1]
-    ends.insert(at(ends), e)
-    for k, (a, b) in sides.items():
-        switches[k] = Switch(switches[k].name, tuple(a), tuple(b))
-    return tuple(switches), tuple(sides)
+    sw = switches[s]
+    a, b = sw.side_a, sw.side_b
+    if side_e == "A":
+        a = a[:idx] + a[idx + 1:]
+    else:
+        b = b[:idx] + b[idx + 1:]
+    if s != d:
+        switches[s] = Switch(sw.name, a, b)
+        sw = switches[d]
+        a, b = sw.side_a, sw.side_b
+    if side == "A":
+        a = a[:at] + (e,) + a[at:]
+    else:
+        b = b[:at] + (e,) + b[at:]
+    switches[d] = Switch(sw.name, a, b)
+    if s == d and side_e == side:  # one run from the first of the two points
+        return tuple(switches), ((d, side, idx if idx < at else at),)
+    return tuple(switches), ((s, side_e, idx), (d, side, at))
 
 
-def _split(track: TrainTrack,
-           move: SplitMove) -> tuple[tuple[Switch, ...], tuple[int, ...]]:
-    """split_switches, with the positions of the switches the move
-    rebuilt."""
-    case = _case(track, move)
-    if case is None:
+def _split(track, move: SplitMove) -> tuple[tuple[Switch, ...], _Runs]:
+    """split_switches, with the runs of ends whose sites the move
+    shifted."""
+    last = _extremity(track, move)
+    if last is None:
         _reject(track, move)
-    # the slid end reattaches next to the far end of the over edge, before
-    # or after it in the ribbon order; side B runs against that order
-    far = flip_end(move.over)
-    w, side_f, _ = track.end_site[far]
-    step = (case == "after") == (side_f == "A")
-    return _moved(track, move.slid, w, side_f,
-                  lambda ends: ends.index(far) + step)
+    # the slid end reattaches next to the far end of the over edge: on a
+    # side of the slid side's letter after it if the slid end was last and
+    # before it if first, on the other letter (side B runs against the
+    # ribbon order) the other way round
+    site = track.end_site
+    v, side_s, idx = site[move.slid]
+    w, side_f, at = site[flip_end(move.over)]
+    same = side_f == side_s
+    if same and w == v and at > idx:
+        at -= 1  # the slid end leaves from before the far end
+    return _moved(track, move.slid, w, side_f, at + (last == same))
 
 
 def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
@@ -250,7 +272,8 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     v, side_o, _ = track.end_site[move.over]
     opp = "B" if side_o == "A" else "A"  # the side opposite the over end
     survivors = []
-    for at in ((lambda ends: 0), len):
+    sw = _switch(track, v)
+    for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
             cand = TrainTrack(track.name, track.edges,
@@ -287,8 +310,9 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
     to the start.  IllegalMove carries the index and the track reached.
 
-    Every move is checked for legality on one layout, updated in place;
-    only the final track, or the one a move fails on, is built (_Layout).
+    Every move is checked for legality on one layout, updated in place by
+    re-siting only the ends the move shifts; only the final track, or the
+    one a move fails on, is built (_Layout).
 
     A move changes only the image of its slid edge: x r becomes the join of
     the images of x and r (r^-1 x likewise).  Both are reduced, so the

@@ -94,15 +94,6 @@ class Switch:
                 f"/{','.join(k + lab for lab, k in b)}")
 
 
-def site_ends(site: dict, sw: Switch) -> None:
-    """Enter each end of `sw` in `site` as (switch name, side letter,
-    index within the side)."""
-    for i, e in enumerate(sw.side_a):
-        site[e] = (sw.name, "A", i)
-    for i, e in enumerate(sw.side_b):
-        site[e] = (sw.name, "B", i)
-
-
 def side_profile(switches) -> tuple[int, ...]:
     """Sorted multiset of the side sizes of `switches`."""
     sizes = []
@@ -223,7 +214,10 @@ class TrainTrack:
         """end -> (switch name, side letter, index within the side)."""
         site: dict[End, tuple[str, str, int]] = {}
         for sw in self.switches:
-            site_ends(site, sw)
+            for i, e in enumerate(sw.side_a):
+                site[e] = (sw.name, "A", i)
+            for i, e in enumerate(sw.side_b):
+                site[e] = (sw.name, "B", i)
         return site
 
     @cached_property

@@ -13,6 +13,7 @@ from ttlab.morphism import compose, identity_morphism
 from ttlab.splitting import (
     SplitMove,
     _Layout,
+    _reject,
     _split,
     apply_sequence,
     apply_split,
@@ -223,27 +224,15 @@ def test_random_walks_unsplit_back_to_start():
         assert tracks_equal(t, start)
 
 
-@settings(max_examples=40, deadline=None)
-@given(start=st.sampled_from([base_track, twisted_track, initial_track]),
-       picks=st.lists(st.integers(min_value=0, max_value=10**6),
-                      min_size=1, max_size=6))
-def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
-    t = start()
-    for pick in picks:
-        options = legal_splits(t)
-        mv = options[pick % len(options)]
-        child, _ = apply_split(t, mv)
-        assert split_switches(t, mv) == child.switches
-        assert unsplit(child, mv)[0].canonical_key == t.canonical_key
-        t = child
-
-
 def _picked_walk(t, picks):
     """A legal walk from `t`, each move the pick-th option modulo their
-    number; returns the moves and the final track."""
+    number, until the picks run out or no move is legal; returns the moves
+    and the final track."""
     moves = []
     for pick in picks:
         options = legal_splits(t)
+        if not options:
+            break
         moves.append(options[pick % len(options)])
         t, _ = apply_split(t, moves[-1])
     return tuple(moves), t
@@ -253,8 +242,51 @@ STARTS = st.sampled_from([base_track, twisted_track, initial_track])
 PICKS = st.lists(st.integers(min_value=0, max_value=10**6), max_size=8)
 
 
+def _reversed_edges(t, labels):
+    """`t` with the ends of the edges in `labels` swapped, so sides mix i
+    and t ends and moves ride edges backwards (negative ride letters)."""
+    def ends(side):
+        return tuple(flip_end(e) if e[0] in labels else e for e in side)
+    return TrainTrack(t.name, t.edges, tuple(
+        Switch(sw.name, ends(sw.side_a), ends(sw.side_b)) for sw in t.switches))
+
+
+def _one_sided_edge_track():
+    """A track with an edge whose two ends sit on one side of a switch:
+    sliding t(b) over t(y) puts t(b) next to i(y), on the other side of the
+    slid end's own switch, which no move from the atlas seeds does."""
+    return TrainTrack("one_sided", ("a", "b", "y"), (
+        Switch("v", (("a", "i"), ("b", "t")), (("y", "i"), ("y", "t"))),
+        Switch("w", (("a", "t"),), (("b", "i"),))))
+
+
+# the atlas seeds, and one whose sides mix i and t ends
+WALK_SEEDS = [base_track, twisted_track, initial_track,
+              lambda: _reversed_edges(base_track(), "acfhk")]
+WALK_STARTS = st.sampled_from(WALK_SEEDS)
+# and one whose walks reach every placement of the slid end
+KERNEL_STARTS = st.sampled_from(WALK_SEEDS + [_one_sided_edge_track])
+
+
 @settings(max_examples=50, deadline=None)
-@given(start=STARTS, picks=PICKS)
+@given(start=KERNEL_STARTS,
+       picks=st.lists(st.integers(min_value=0, max_value=10**6),
+                      min_size=1, max_size=6))
+def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
+    t = start()
+    for pick in picks:
+        options = legal_splits(t)
+        if not options:
+            break
+        mv = options[pick % len(options)]
+        child, _ = apply_split(t, mv)
+        assert split_switches(t, mv) == child.switches
+        assert unsplit(child, mv)[0].canonical_key == t.canonical_key
+        t = child
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=KERNEL_STARTS, picks=PICKS)
 def test_legal_splits_are_exactly_the_legal_moves(start, picks):
     _, t = _picked_walk(start(), picks)
     legal = set(legal_splits(t))
@@ -274,26 +306,12 @@ def test_sequence_text_round_trip(start, picks):
     assert parse_sequence(format_sequence(moves)) == moves
 
 
-def _reversed_edges(t, labels):
-    """`t` with the ends of the edges in `labels` swapped, so sides mix i
-    and t ends and moves ride edges backwards (negative ride letters)."""
-    def ends(side):
-        return tuple(flip_end(e) if e[0] in labels else e for e in side)
-    return TrainTrack(t.name, t.edges, tuple(
-        Switch(sw.name, ends(sw.side_a), ends(sw.side_b)) for sw in t.switches))
-
-
-# the atlas seeds, and one whose sides mix i and t ends
-WALK_STARTS = st.sampled_from([base_track, twisted_track, initial_track,
-                               lambda: _reversed_edges(base_track(), "acfhk")])
-
-
 @settings(max_examples=60, deadline=None)
 @given(start=WALK_STARTS,
        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30))
 def test_layout_sites_match_the_built_track(start, picks):
-    # a run of splits updates the end sites of the switches each move
-    # rebuilt; they must be those of a track built and validated afresh
+    # a run of splits re-sites only the ends each move shifted; the sites
+    # must be those of a track built and validated afresh
     t0 = start()
     sites = dict(t0.end_site)
     layout = _Layout(t0)
@@ -338,3 +356,104 @@ def test_sequence_incidence_is_the_product_of_its_splits(start, picks):
         t, step = apply_split(t, mv)
         product = mat_mult(incidence_matrix(step).data, product)
     assert incidence_matrix(run.morphism).data == tuple(map(tuple, product))
+
+
+# ----------------------------------------------------------------------
+# the split kernel against the one it replaced
+
+
+def _reference_moves_at(sw):
+    """The legal moves at `sw` as (slid, over, case).
+    after:  sigma(slid) == over  (pairs A[-1]/B[-1] and B[0]/A[0])
+    before: sigma(over) == slid  (pairs B[-1]/A[-1] and A[0]/B[0])"""
+    a, b = sw.side_a, sw.side_b
+    if len(a) + len(b) < 4:
+        return []
+    return [(slid, over, case)
+            for slid_side, slid, over, case in ((a, a[-1], b[-1], "after"),
+                                                (b, b[-1], a[-1], "before"),
+                                                (a, a[0], b[0], "before"),
+                                                (b, b[0], a[0], "after"))
+            if len(slid_side) > 1 and slid[0] != over[0]]
+
+
+def _reference_split(track, move):
+    """Reference: classify `move` by listing every move at the slid end's
+    switch, rebuild the sides it touches as lists, and return the switches
+    with the positions of the switches rebuilt."""
+    site = track.end_site.get(move.slid)
+    cases = [] if site is None else [
+        case for slid, over, case in _reference_moves_at(
+            track.switches[track.switch_index[site[0]]])
+        if (slid, over) == (move.slid, move.over)]
+    if not cases:
+        _reject(track, move)
+    far = flip_end(move.over)
+    w, side_f, _ = track.end_site[far]
+    src, side_e, idx = site
+    s, d = track.switch_index[src], track.switch_index[w]
+    switches = list(track.switches)
+    sides = {k: (list(switches[k].side_a), list(switches[k].side_b))
+             for k in (s, d)}
+    del sides[s][0 if side_e == "A" else 1][idx]
+    ends = sides[d][0 if side_f == "A" else 1]
+    step = (cases[0] == "after") == (side_f == "A")
+    ends.insert(ends.index(far) + step, move.slid)
+    for k, (a, b) in sides.items():
+        switches[k] = Switch(switches[k].name, tuple(a), tuple(b))
+    return tuple(switches), tuple(sides)
+
+
+def _kernel_step(layout, mv):
+    """Check the kernel on `mv` against the reference, which re-sites every
+    end of the switches it rebuilt; returns the layout `mv` splits `layout`
+    into, or None when `mv` is illegal."""
+    try:
+        want, rebuilt = _reference_split(layout, mv)
+    except IllegalMove as exc:
+        with pytest.raises(IllegalMove) as got:
+            _split(layout, mv)
+        assert (got.value.reason, str(got.value)) == (exc.reason, str(exc))
+        assert not is_legal(layout, mv)
+        return None
+    assert is_legal(layout, mv)
+    switches, shifted = _split(layout, mv)
+    assert switches == want
+    child, sites = _Layout(layout), dict(layout.end_site)
+    child.split(switches, shifted)
+    for k in rebuilt:
+        sw = switches[k]
+        for side, ends in (("A", sw.side_a), ("B", sw.side_b)):
+            for i, e in enumerate(ends):
+                sites[e] = (sw.name, side, i)
+    assert child.end_site == sites
+    return child
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=KERNEL_STARTS,
+       steps=st.lists(st.tuples(*[st.integers(0, 10**6)] * 3), max_size=25))
+def test_kernel_matches_the_reference_kernel(start, steps):
+    # each step tries an arbitrary pair of ends, mostly illegal, then walks
+    # on by a legal move; an end not on the track is among the pairs
+    layout = _Layout(start())
+    pool = sorted(layout.end_site) + [("z", "t")]
+    for pick, slid, over in steps:
+        _kernel_step(layout, SplitMove(pool[slid % len(pool)],
+                                       pool[over % len(pool)]))
+        options = legal_splits(layout)
+        if not options:
+            break
+        layout = _kernel_step(layout, options[pick % len(options)])
+
+
+def test_far_end_on_the_other_side_of_the_slid_switch():
+    t = _one_sided_edge_track()
+    mv = parse_move("t(b)/t(y)")
+    # t(b) was last on A and joins B before i(y), which is first there
+    assert split_switches(t, mv)[0] == Switch(
+        "v", (("a", "i"),), (("b", "t"), ("y", "i"), ("y", "t")))
+    layout = _Layout(t)
+    layout.split(*_split(layout, mv))
+    assert layout.end_site == apply_split(t, mv)[0].end_site
+    assert tracks_equal(unsplit(apply_split(t, mv)[0], mv)[0], t)
