@@ -29,13 +29,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidTrack, ParseError, TrackError, UnknownEntry
+from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
 from .track import Switch, TrainTrack, format_end, parse_end
 from .words import Word, format_word, parse_word
 
 _HEADER_RE = re.compile(r"^\[\s*(track|switch|map|sequence)\s+([^\s\]]+)\s*\]$")
+_NAME_RE = re.compile(r"[^\s\]#]+")  # what a header reads back as a name
 
 
 @dataclass
@@ -234,13 +235,23 @@ def _finish_map(name: str, header_line: int,
 # writers (parse_document inverses, deterministic)
 
 
+def _header(kind: str, name: str) -> str:
+    """The section header `[kind name]`.  Raises BadIndex for a name that
+    parse_document would not read back: empty, or holding whitespace, ']'
+    or '#'."""
+    if not _NAME_RE.fullmatch(name):
+        raise BadIndex(f"{kind} name {name!r} cannot head a section: names "
+                       "are non-empty, without whitespace, ']' or '#'")
+    return f"[{kind} {name}]"
+
+
 def dump_track(track: TrainTrack) -> str:
-    out = [f"[track {track.name}]", "edges = " + " ".join(track.edges)]
+    out = [_header("track", track.name), "edges = " + " ".join(track.edges)]
     for bname, word in track.declared_boundaries:
         out.append(f"boundary {bname} = {format_word(word)}")
     for sw in track.switches:
         out.append("")
-        out.append(f"[switch {sw.name}]")
+        out.append(_header("switch", sw.name))
         out.append("side_a = " + " ".join(format_end(e) for e in sw.side_a))
         out.append("side_b = " + " ".join(format_end(e) for e in sw.side_b))
     return "\n".join(out) + "\n"
@@ -249,7 +260,7 @@ def dump_track(track: TrainTrack) -> str:
 def dump_map(m: TrackMorphism, name: str | None = None,
              source_ref: str | None = None, target_ref: str | None = None) -> str:
     out = [
-        f"[map {name or m.name or 'map'}]",
+        _header("map", name or m.name or "map"),
         f"source = {source_ref or m.source.name}",
         f"target = {target_ref or m.target.name}",
     ]
@@ -259,7 +270,7 @@ def dump_map(m: TrackMorphism, name: str | None = None,
 
 
 def dump_sequence(moves, name: str = "seq") -> str:
-    return f"[sequence {name}]\nmoves = {format_sequence(moves)}\n"
+    return f"{_header('sequence', name)}\nmoves = {format_sequence(moves)}\n"
 
 
 def dump_document(doc: Document) -> str:

@@ -7,13 +7,16 @@ with their certificates.
 
 Which moves close up from a track depends only on its structure and on the
 depth left, so the search expands each (structure, remaining depth) once and
-shares the result among every path that reaches it.  Expansions split the
-bare switches and their end sites; a TrainTrack is built and validated only
-for an isomorphism test.  The closing sequences are then replayed from the
-seed, one by one, to build their maps.  Within one search, closures with the
-same final track and edge images get the same certificate up to the map
-name, so each such pair is certified once: the depth-4 census from tau_prime
-certifies 22 pairs for its 160 closures, and depth 6 certifies 122 for 1,024.
+shares the result among every path that reaches it.  Splitting keeps switch
+names and order, so the switch tuple a split returns keys the structure.
+Expansions split the bare switches and their end sites; a TrainTrack is
+built and validated only for an isomorphism test.  The closing sequences
+are then replayed from the seed, one by one, and each closure's self map
+renames the letters of the replayed composite.  Within one search,
+closures with the same final track and edge images get the same
+certificate up to the map name, so each such pair is certified once: the
+depth-4 census from tau_prime certifies 22 pairs for its 160 closures, and
+depth 6 certifies 122 for 1,024.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 from .certify import Certificate, certify
 from .errors import BadIndex, NotAnIdentification, ResourceLimit
 from .incidence import check_tolerance
-from .morphism import TrackMorphism, compose, iso_morphism
+from .morphism import TrackMorphism
 from .splitting import (
     SplitMove,
     SplitRun,
@@ -34,6 +37,7 @@ from .splitting import (
     format_sequence,
 )
 from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
+from .words import substitute
 
 
 # Deepest search accepted.  Each level multiplies the tracks to expand
@@ -98,9 +102,11 @@ def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
     self_maps = []
     certs = []
     for iso in isos:
-        carrier = iso_morphism(iso, seed, run.final)
+        # iso: seed -> final renames letters, which keeps images reduced
+        rename = {x: ((y, 1),) for x, y in iso.label_map}
         sm = TrackMorphism(run.final, run.final,
-                           compose(carrier, run.morphism).images,
+                           {x: substitute(w, rename)
+                            for x, w in run.morphism.images},
                            name=f"loop[{format_sequence(run.moves)}]")
         if cfg.needs_certificates:
             key = (run.final.switches, sm.images)
@@ -125,14 +131,6 @@ def _package(seed: TrainTrack, run: SplitRun, isos: tuple[TrackIso, ...],
         self_maps=tuple(self_maps),
         certificates=tuple(certs),
     )
-
-
-def _structure_key(switches: tuple[Switch, ...]) -> str:
-    """Each switch's name and canonical presentation, in one string.
-
-    Splitting keeps switch names and their order, so within one search two
-    tracks share a key exactly when they agree switch by switch."""
-    return ";".join(sw.structure_text for sw in switches)
 
 
 def _moves_with_profiles(track: TrainTrack | _Layout):
@@ -179,14 +177,15 @@ class _LoopSearch:
     """Closing suffixes of the tracks below one seed.
 
     A suffix of a track is a sequence of 1 up to the remaining depth moves
-    that ends on a track isomorphic to the seed.  `memo[r]` maps the key of
-    a track met with r >= 1 moves left to its suffixes, plus the empty one
-    when the track itself closes.  Leaves (no move left) get no entry.
+    that ends on a track isomorphic to the seed.  `memo[r]` maps the
+    switches of a track met with r >= 1 moves left to its suffixes, plus
+    the empty one when the track itself closes.  Leaves (no move left) get
+    no entry.
     A move changes at most two side sizes, so a child with more than 2r
     sizes the seed lacks cannot close in the r moves left after it; each
     move's side profile is worked out without splitting, and such a move
     is not split (IDA*-style lower-bound pruning).  `closes` keeps, under
-    each tested track's key, the isomorphisms from the seed onto it.
+    each tested track's switches, the isomorphisms from the seed onto it.
     A child's layout is its parent's with the ends the move shifted re-sited.
     """
 
@@ -195,8 +194,9 @@ class _LoopSearch:
         self.profile = list(seed.side_profile)  # a list, as move profiles are
         self.max_nodes = cfg.max_nodes
         self.nodes = 0
-        self.memo: list[dict[str, tuple]] = [{} for _ in range(cfg.max_depth)]
-        self.closes: dict[str, tuple[TrackIso, ...]] = {}
+        self.memo: list[dict[tuple[Switch, ...], tuple]] = [
+            {} for _ in range(cfg.max_depth)]
+        self.closes: dict[tuple[Switch, ...], tuple[TrackIso, ...]] = {}
 
     def _expand(self) -> None:
         """Count one expansion against the budget."""
@@ -205,15 +205,14 @@ class _LoopSearch:
             raise ResourceLimit(
                 f"search expanded more than {self.max_nodes} tracks")
 
-    def _closes(self, switches: tuple[Switch, ...],
-                key: str) -> tuple[TrackIso, ...]:
+    def _closes(self, switches: tuple[Switch, ...]) -> tuple[TrackIso, ...]:
         """The isomorphisms from the seed onto the track on `switches`,
         whose side profile matches the seed's."""
-        isos = self.closes.get(key)
+        isos = self.closes.get(switches)
         if isos is None:
             isos = isomorphisms(self.seed, TrainTrack(
                 self.seed.name, self.seed.edges, switches))
-            self.closes[key] = isos
+            self.closes[switches] = isos
         return isos
 
     def suffixes(self, track: TrainTrack | _Layout,
@@ -228,22 +227,21 @@ class _LoopSearch:
                 continue
             mv = SplitMove(slid, over)
             switches, shifted = _split(track, mv)
-            key = _structure_key(switches)
             if not left:
-                if key not in self.closes:
+                if switches not in self.closes:
                     self._expand()  # a leaf isomorphism check
-                if self._closes(switches, key):
+                if self._closes(switches):
                     found.append((mv,))
                 continue
-            tail = memo.get(key)
+            tail = memo.get(switches)
             if tail is None:
                 self._expand()
                 child = _Layout(track)
                 child.split(switches, shifted)
                 tail = self.suffixes(child, left)
-                if not lacking and self._closes(switches, key):
+                if not lacking and self._closes(switches):
                     tail = ((),) + tail
-                memo[key] = tail
+                memo[switches] = tail
             found.extend((mv,) + s for s in tail)
         # most tracks close nothing; tuple() of an empty list is the one
         # shared empty tuple, so those memo entries cost no value object
@@ -273,7 +271,7 @@ def search_loops(seed: TrainTrack,
     certified: dict[tuple, Certificate] = {}
     for moves in sorted(found, key=lambda s: tuple(str(m) for m in s)):
         run = apply_sequence(seed, moves)
-        isos = search.closes[_structure_key(run.final.switches)]
+        isos = search.closes[run.final.switches]
         packed = _package(seed, run, isos, cfg, certified)
         if packed is not None:
             results.append(packed)

@@ -60,7 +60,7 @@ def letter_from_departure(e: End) -> Letter:
     return (e[0], 1 if e[1] == "i" else -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Switch:
     name: str
     side_a: tuple[End, ...]
@@ -83,15 +83,6 @@ class Switch:
         """The lesser of (A, B) and (reversed B, reversed A)."""
         return min((self.side_a, self.side_b),
                    (tuple(reversed(self.side_b)), tuple(reversed(self.side_a))))
-
-    @cached_property
-    def structure_text(self) -> str:
-        """The name and canonical presentation in one string, built once
-        per switch; a split reuses the switches it leaves alone, so the
-        split track builds it only for the ones the move rebuilt."""
-        a, b = self.canonical_presentation()
-        return (f"{self.name}:{','.join(k + lab for lab, k in a)}"
-                f"/{','.join(k + lab for lab, k in b)}")
 
 
 def side_profile(switches) -> tuple[int, ...]:

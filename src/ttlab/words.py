@@ -16,17 +16,11 @@ from .errors import ParseError
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
-EMPTY: Word = ()
-
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def is_label(text: str) -> bool:
     return bool(_LABEL_RE.fullmatch(text))
-
-
-def letter(label: str, sign: int = 1) -> Letter:
-    return (label, 1 if sign >= 0 else -1)
 
 
 def inv_letter(lt: Letter) -> Letter:

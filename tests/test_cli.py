@@ -171,6 +171,14 @@ def test_map_compose(capsys):
     assert doc.maps["composite"].mapping == phi2().mapping
 
 
+@pytest.mark.parametrize("name", ["two words", "a#b", "a]b"])
+def test_map_compose_rejects_a_name_no_header_can_hold(capsys, name):
+    code, out, err = run(capsys, "map", "compose", "atlas:phi1", "atlas:phi1",
+                         "--name", name)
+    assert (code, out) == (2, "")
+    assert f"map name {name!r} cannot head a section" in err
+
+
 def test_map_boundaries(capsys):
     code, out, _ = run(capsys, "map", "boundaries", "atlas:phi1")
     assert code == 0

@@ -1,9 +1,12 @@
 """Text serialisation: dumps, parses, resolvers, dot export."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_track import small_tracks
 
 from ttlab import atlas as A
-from ttlab.errors import ParseError, UnknownEntry
+from ttlab.errors import BadIndex, ParseError, UnknownEntry
 from ttlab.fileio import (
     Document,
     dump_document,
@@ -16,7 +19,9 @@ from ttlab.fileio import (
     resolve_track,
     track_to_dot,
 )
-from ttlab.track import tracks_equal
+from ttlab.morphism import TrackMorphism
+from ttlab.splitting import apply_sequence, apply_split, legal_splits
+from ttlab.track import Switch, TrainTrack, tracks_equal
 
 ATLAS_MAP_NAMES = ["phi1", "phi2", "phi3", "alpha", "beta", "t_ig", "t_gi"]
 
@@ -62,6 +67,56 @@ def test_document_round_trip_is_fixed_point():
     doc2 = parse_document(text)
     assert dump_document(doc2) == text
     assert doc2.maps["t_ig"].mapping == A.t_ig().mapping
+
+
+@st.composite
+def _documents(draw):
+    """A small track, a legal walk on it, and the walk's composite as a map
+    from the final track, renamed, back to the start."""
+    start = draw(small_tracks(draw(st.integers(3, 5))))
+    moves, t = [], start
+    for pick in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=8)):
+        options = legal_splits(t)
+        if not options:
+            break
+        moves.append(options[pick % len(options)])
+        t, _ = apply_split(t, moves[-1])
+    run = apply_sequence(start, moves)
+    final = run.final.renamed("final")
+    return Document(
+        tracks={start.name: start, "final": final},
+        maps={"walk": TrackMorphism(final, start, run.morphism.images)},
+        sequences={"walk": tuple(moves)},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_documents())
+def test_random_document_round_trip(doc):
+    text = dump_document(doc)
+    again = parse_document(text)
+    assert dump_document(again) == text
+    assert again.tracks.keys() == doc.tracks.keys()
+    for name, t in doc.tracks.items():
+        assert tracks_equal(again.tracks[name], t)
+    assert again.maps["walk"].images == doc.maps["walk"].images
+    assert again.sequences == doc.sequences
+
+
+@pytest.mark.parametrize("name", ["two words", "tab\there", "a]b", "a#b", ""])
+def test_writers_reject_names_no_header_can_hold(name):
+    t = A.base_track()
+    sw = t.switches[0]
+    bad_switch = TrainTrack(t.name, t.edges,
+                            (Switch(name, sw.side_a, sw.side_b),) + t.switches[1:])
+    writers = [lambda: dump_sequence(A.s1_moves(), name=name),
+               lambda: dump_track(t.renamed(name)),
+               lambda: dump_track(bad_switch)]
+    if name:  # an empty map name falls back on the map's own
+        writers.append(lambda: dump_map(A.phi1(), name=name))
+    for write in writers:
+        with pytest.raises(BadIndex, match="cannot head a section"):
+            write()
 
 
 def test_map_external_source_reference():

@@ -137,7 +137,8 @@ def test_census_node_budget_is_exact():
 
 
 def test_census_memo_sizes():
-    # the per-switch key strings partition the tracks as whole-track keys do
+    # the memo is keyed on switch tuples, which partition the tracks as
+    # whole-track structure keys do (see the depth-five test below)
     seed = twisted_track()
     search = _LoopSearch(seed, SearchConfig(max_depth=4))
     assert len(search.suffixes(seed, 4)) == 80
@@ -155,6 +156,23 @@ def test_depth_six_search_counters():
     assert search.nodes == 7345
     assert [len(m) for m in search.memo] == [0, 1485, 3630, 1796, 260, 24]
     assert len(search.closes) == 164
+
+
+@pytest.mark.parametrize("make_seed, nodes", [
+    (base_track, 1678), (initial_track, 1680), (twisted_track, 1678)])
+def test_depth_five_memo_keys_are_distinct_structures(make_seed, nodes):
+    # splitting keeps switch names and order, so no two switch tuples that
+    # key one memo level, or the closure cache, present one structure
+    seed = make_seed()
+    search = _LoopSearch(seed, SearchConfig(max_depth=5))
+    assert len(search.suffixes(seed, 5)) == 208
+    assert search.nodes == nodes
+    assert [len(m) for m in search.memo] == [0, 446, 880, 260, 24]
+    assert len(search.closes) == 76
+    for keys in (*search.memo, search.closes):
+        structures = {tuple((sw.name, sw.canonical_presentation())
+                            for sw in switches) for switches in keys}
+        assert len(structures) == len(keys)
 
 
 def _counter_lacking(profile, seed):

@@ -17,7 +17,6 @@ from ttlab.words import (
     inv_letter,
     inverse,
     join,
-    letter,
     min_rotation,
     parse_letter,
     parse_word,
@@ -63,7 +62,7 @@ def test_parse_error_carries_position():
 def test_inverse_and_inv_letter():
     w = parse_word("a -b c")
     assert format_word(inverse(w)) == "-c b -a"
-    assert inv_letter(letter("a")) == ("a", -1)
+    assert inv_letter(("a", 1)) == ("a", -1)
     assert inverse(inverse(w)) == w
 
 
