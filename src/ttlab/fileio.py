@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
-from .track import Switch, TrainTrack, format_end, parse_end
+from .track import Switch, TrainTrack, format_end, is_name, parse_end
 from .words import Word, format_word, parse_word
 
 _HEADER_RE = re.compile(r"^\[\s*(track|switch|map|sequence)\s+([^\s\]]+)\s*\]$")
-_NAME_RE = re.compile(r"[^\s\]#]+")  # what a header reads back as a name
 
 
 @dataclass
@@ -239,7 +238,7 @@ def _header(kind: str, name: str) -> str:
     """The section header `[kind name]`.  Raises BadIndex for a name that
     parse_document would not read back: empty, or holding whitespace, ']'
     or '#'."""
-    if not _NAME_RE.fullmatch(name):
+    if not is_name(name):
         raise BadIndex(f"{kind} name {name!r} cannot head a section: names "
                        "are non-empty, without whitespace, ']' or '#'")
     return f"[{kind} {name}]"

@@ -20,13 +20,14 @@ into the given track.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
-from .words import Word, inv_letter, inverse, join
+from .words import Word, free_reduce, inv_letter, inverse
 
 
 @dataclass(frozen=True)
@@ -306,6 +307,47 @@ class SplitRun:
     morphism: TrackMorphism  # final -> start
 
 
+def _start(track) -> tuple[_Layout, dict[str, deque]]:
+    """The layout of `track` and the images of a run of no move: each edge
+    maps to itself.  A run extends the images in place (_step)."""
+    return _Layout(track), {lab: deque(((lab, 1),)) for lab in track.edges}
+
+
+def _step(layout: _Layout, images: dict[str, deque], move: SplitMove) -> None:
+    """Split `layout` by `move` and extend the slid edge's image in place:
+    x r takes the letters of r's image at its end, r^-1 x those of r^-1's
+    at its start.  Only those letters are copied, so a run copies each
+    letter of its result once; the seams are reduced when it ends."""
+    layout.split(*_split(layout, move))
+    (x, kind), (y, over) = move.slid, move.over
+    ride = images[y]  # the image of r when r = y (over i(y)), else of r^-1
+    if kind == "t":
+        images[x].extend(ride if over == "i" else inverse(ride))
+    else:  # extendleft puts each letter before the last: feed them last first
+        images[x].extendleft(reversed(ride) if over == "t"
+                             else ((lab, -s) for lab, s in ride))
+
+
+def _branch(layout: _Layout, images: dict[str, deque],
+            move: SplitMove) -> tuple[_Layout, dict[str, deque]]:
+    """The run state after `move` from the state (layout, images), which
+    stays as it is: a run that shares a prefix branches from it."""
+    layout, images = _Layout(layout), dict(images)
+    images[move.slid[0]] = images[move.slid[0]].copy()  # _step extends it
+    _step(layout, images, move)
+    return layout, images
+
+
+def _finish(start: TrainTrack, final: TrainTrack, moves: tuple[SplitMove, ...],
+            images: dict) -> SplitRun:
+    """The run of `moves` from `start` to `final`, whose slid edges got
+    `images` by _step, with every image freely reduced."""
+    name = ".".join(["id"] + [str(mv) for mv in moves])
+    return SplitRun(start, final, moves, TrackMorphism(
+        final, start, {lab: free_reduce(w) for lab, w in images.items()},
+        name=name))
+
+
 def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     """Apply moves in order; the composite morphism maps the final track back
     to the start.  IllegalMove carries the index and the track reached.
@@ -314,17 +356,15 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     re-siting only the ends the move shifts; only the final track, or the
     one a move fails on, is built (_Layout).
 
-    A move changes only the image of its slid edge: x r becomes the join of
-    the images of x and r (r^-1 x likewise).  Both are reduced, so the
-    composite grows at the seam and is reduced there alone; a composite of
-    splits is a train path, which never cancels at the seam.  When one side
-    of each switch holds only t ends and the other only i ends, as on the
-    atlas tracks, r is a positive letter and no image is inverted either."""
-    layout = _Layout(track)
-    images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
-
-    def image(lt):
-        return images[lt[0]] if lt[1] > 0 else inverse(images[lt[0]])
+    A move changes only the image of its slid edge: x r becomes the image
+    of x followed by the image of r (r^-1 x likewise).  Each move extends
+    the slid edge's image in place by the letters of the other (_step), so
+    it copies only letters the result keeps, not the whole image, and each
+    final image is freely reduced once: linear in the letters of the
+    result.  Free reduction is confluent, so this is the word that reducing
+    after every move would give; a composite of splits is a train path, so
+    nothing cancels."""
+    layout, images = _start(track)
 
     def reached() -> TrainTrack:
         if layout.switches is track.switches:  # no move made yet
@@ -334,15 +374,10 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
-            layout.split(*_split(layout, mv))
+            _step(layout, images, mv)
         except IllegalMove as exc:
             raise IllegalMove(
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
                 track=reached(),
             ) from exc
-        u, v = _slid_image(mv)
-        images[mv.slid[0]] = join(image(u), image(v))
-    final = reached()
-    name = ".".join(["id"] + [str(mv) for mv in mv_tuple])
-    return SplitRun(track, final, mv_tuple,
-                    TrackMorphism(final, track, images, name=name))
+    return _finish(track, reached(), mv_tuple, images)

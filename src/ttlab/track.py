@@ -14,6 +14,7 @@ exactly when the arriving and the departing end lie on the same side.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -21,6 +22,15 @@ from .errors import InvalidTrack, NotOrientable, ParseError
 from .words import Letter, Word, is_label, min_rotation, word_key
 
 End = tuple[str, str]  # (edge label, "i" or "t")
+
+_NAME_RE = re.compile(r"[^\s\]#]+")  # what a section header reads back
+
+
+def is_name(text: str) -> bool:
+    """Whether `text` can name a track, switch, map or sequence in a
+    document: a section header reads back a name that is non-empty and
+    holds no whitespace, ']' or '#'."""
+    return bool(_NAME_RE.fullmatch(text))
 
 
 def end(label: str, kind: str) -> End:
@@ -168,6 +178,12 @@ class TrainTrack:
     def __post_init__(self):
         if not self.edges:
             raise InvalidTrack("a track needs at least one edge")
+        for kind, name in (("track", self.name),
+                           *(("switch", sw.name) for sw in self.switches)):
+            if not is_name(name):
+                raise InvalidTrack(f"{kind} name {name!r} cannot head a "
+                                   "section: names are non-empty, without "
+                                   "whitespace, ']' or '#'")
         seen_sw = set()
         for sw in self.switches:
             if sw.name in seen_sw:

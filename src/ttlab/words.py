@@ -71,15 +71,6 @@ def free_reduce(word: Iterable[Letter]) -> Word:
     return tuple(stack)
 
 
-def join(u: Word, v: Word) -> Word:
-    """free_reduce(u + v) for reduced u and v: letters can cancel only at
-    the seam, so trim the matching ends and concatenate what is left."""
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
-        k += 1
-    return u[:len(u) - k] + v[k:]
-
-
 def free_reduce_marked(word: Word) -> tuple[Word, tuple[int, ...]]:
     """Free reduction remembering which original positions survive."""
     stack: list[tuple[Letter, int]] = []

@@ -21,7 +21,7 @@ from ttlab.fileio import (
 )
 from ttlab.morphism import TrackMorphism
 from ttlab.splitting import apply_sequence, apply_split, legal_splits
-from ttlab.track import Switch, TrainTrack, tracks_equal
+from ttlab.track import tracks_equal
 
 ATLAS_MAP_NAMES = ["phi1", "phi2", "phi3", "alpha", "beta", "t_ig", "t_gi"]
 
@@ -105,13 +105,9 @@ def test_random_document_round_trip(doc):
 
 @pytest.mark.parametrize("name", ["two words", "tab\there", "a]b", "a#b", ""])
 def test_writers_reject_names_no_header_can_hold(name):
-    t = A.base_track()
-    sw = t.switches[0]
-    bad_switch = TrainTrack(t.name, t.edges,
-                            (Switch(name, sw.side_a, sw.side_b),) + t.switches[1:])
-    writers = [lambda: dump_sequence(A.s1_moves(), name=name),
-               lambda: dump_track(t.renamed(name)),
-               lambda: dump_track(bad_switch)]
+    # no track or switch is built under such a name (test_track), so the
+    # names a writer meets free-form are those of sequences and maps
+    writers = [lambda: dump_sequence(A.s1_moves(), name=name)]
     if name:  # an empty map name falls back on the map's own
         writers.append(lambda: dump_map(A.phi1(), name=name))
     for write in writers:

@@ -33,9 +33,7 @@ from ttlab.search import (
     MAX_DEPTH,
     LoopResult,
     SearchConfig,
-    _lacking,
     _LoopSearch,
-    _moves_with_profiles,
     replay,
     search_loops,
 )
@@ -85,6 +83,24 @@ def test_census_sequences_replay_cleanly(census):
             sm.check()
             assert sm.is_smooth()
             assert sm.source.name == sm.target.name
+
+
+@pytest.mark.parametrize("make_seed, depth", [
+    (twisted_track, 4), (base_track, 4), (initial_track, 5)])
+def test_search_loops_match_their_replays(make_seed, depth):
+    # search_loops builds its runs along the sorted loops' shared prefixes;
+    # replay rebuilds each from the seed with apply_sequence
+    seed = make_seed()
+    loops = search_loops(seed, SearchConfig(max_depth=depth, certify=False))
+    assert loops
+    for r in loops:
+        again = replay(seed, r.sequence, config=SearchConfig(certify=False))
+        assert r.composite.images == again.composite.images
+        assert r.composite.name == again.composite.name
+        assert r.final.switches == again.final.switches
+        assert r.identifications == again.identifications
+        assert [(sm.name, sm.images) for sm in r.self_maps] == \
+            [(sm.name, sm.images) for sm in again.self_maps]
 
 
 def test_twist_loop_found(census):
@@ -180,23 +196,21 @@ def _counter_lacking(profile, seed):
 
 
 def _check_moves(track, seed):
-    """_moves_with_profiles lists the legal moves, each with the side
-    profile of the track it splits into.  _lacking counts the sizes of that
-    profile which the seed's, or the parent's, lacks, and a move changes
-    it by at most two.  Returns the (slid, far) side pairs met."""
-    leaves = list(_moves_with_profiles(track))
-    moves = [SplitMove(slid, over) for slid, over, _ in leaves]
-    assert sorted(moves, key=str) == list(legal_splits(track))
-    refs = (list(seed.side_profile), list(track.side_profile))
-    for slid, over, profile in leaves:
-        split = side_profile(split_switches(track, SplitMove(slid, over)))
-        assert tuple(profile) == split
-        for ref in refs:
-            lacking = _lacking(profile, ref)
-            assert lacking == _counter_lacking(split, ref)
-            assert abs(lacking - _lacking(list(track.side_profile), ref)) <= 2
+    """_weighed lists the legal moves, each with the count of side sizes of
+    the track it splits into that the seed's profile, or the parent's,
+    lacks; a move changes that count by at most two.  Returns the (slid,
+    far) side pairs met."""
+    for ref in (seed, track):
+        weighed = list(_LoopSearch(ref, SearchConfig())._weighed(track))
+        moves = [SplitMove(slid, over) for slid, over, _ in weighed]
+        assert sorted(moves, key=str) == list(legal_splits(track))
+        for slid, over, lacking in weighed:
+            split = side_profile(split_switches(track, SplitMove(slid, over)))
+            assert lacking == _counter_lacking(split, ref.side_profile)
+            assert abs(lacking - _counter_lacking(track.side_profile,
+                                                  ref.side_profile)) <= 2
     return {(track.end_site[slid][:2], track.end_site[flip_end(over)][:2])
-            for slid, over, _ in leaves}
+            for slid, over, _ in weighed}
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,13 +234,20 @@ def test_leaf_profiles_of_moves_onto_the_slid_ends_switch():
 
 
 @settings(max_examples=200, deadline=None)
-@given(sizes=st.lists(st.integers(min_value=0, max_value=6), max_size=16),
-       seed=st.lists(st.integers(min_value=0, max_value=6), max_size=16))
-def test_lacking_counts_the_multiset_difference(sizes, seed):
-    n = min(len(sizes), len(seed))
-    profile, ref = sorted(sizes[:n]), sorted(seed[:n])
-    assert _lacking(profile, ref) == _counter_lacking(profile, ref)
-    assert (_lacking(profile, ref) == 0) == (profile == ref)
+@given(start=st.sampled_from([base_track, twisted_track, initial_track]),
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=6),
+       ref=st.lists(st.integers(min_value=0, max_value=6), max_size=16))
+def test_lacking_counts_the_multiset_difference(start, picks, ref):
+    # against any reference multiset, not only the profiles of tracks
+    t = start()
+    for pick in picks:
+        options = legal_splits(t)
+        t, _ = apply_split(t, options[pick % len(options)])
+    search = _LoopSearch(start(), SearchConfig())
+    search.seed_counts = Counter(ref)
+    for slid, over, lacking in search._weighed(t):
+        split = side_profile(split_switches(t, SplitMove(slid, over)))
+        assert lacking == _counter_lacking(split, ref)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_words import join
 
 from ttlab.atlas import base_track, initial_track, s1_moves, twisted_track
 from ttlab.errors import IllegalMove, ParseError
@@ -26,6 +27,7 @@ from ttlab.splitting import (
     unsplit,
 )
 from ttlab.track import Switch, TrainTrack, flip_end, tracks_equal
+from ttlab.words import inverse
 
 
 def test_parse_and_format_move():
@@ -340,6 +342,24 @@ def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
     assert run.morphism == composite
     assert run.morphism.name == composite.name
     assert run.morphism.source is run.final and run.morphism.target is t0
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=WALK_STARTS,
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
+def test_sequence_images_are_the_stepwise_joins(start, picks):
+    # reference: every move joins the current images of x and r into the
+    # new image of x (x r for t(x), r^-1 x for i(x); r = y over i(y) and
+    # y^-1 over t(y)), reduced at the seam, as the words grow
+    t0 = start()
+    moves, _ = _picked_walk(t0, picks)
+    images = {lab: ((lab, 1),) for lab in t0.edges}
+    for mv in moves:
+        (x, kind), (y, over) = mv.slid, mv.over
+        ride = images[y] if over == "i" else inverse(images[y])
+        images[x] = (join(images[x], ride) if kind == "t"
+                     else join(inverse(ride), images[x]))
+    assert apply_sequence(t0, moves).morphism.mapping == images
 
 
 @settings(max_examples=40, deadline=None)

@@ -355,6 +355,24 @@ def test_duplicate_switch_name_rejected():
         TrainTrack("bad", ("a",), (sw, sw))
 
 
+@pytest.mark.parametrize("name", ["two words", "", "v#1", "a]b", "tab\there"])
+def test_tracks_reject_names_no_header_can_hold(name):
+    # a document could not hold such a track, so none is built
+    t = base_track()
+    with pytest.raises(InvalidTrack, match="track name .* cannot head"):
+        t.renamed(name)
+    switches = (Switch(name, *t.switches[0].canonical_presentation()),
+                *t.switches[1:])
+    with pytest.raises(InvalidTrack, match="switch name .* cannot head"):
+        TrainTrack(t.name, t.edges, switches)
+
+
+def test_bare_switches_need_no_name():
+    # a switch alone is a presentation, named only inside a track
+    sw = Switch("", (end("a", "i"),), (end("a", "t"),))
+    assert sw.canonical_presentation() == ((("a", "i"),), (("a", "t"),))
+
+
 def test_edge_labels_checked_on_every_track():
     sw = Switch("v", (end("a", "i"),), (end("a", "t"),))
     for _ in range(2):  # the check is cached per edge tuple, its failure is not

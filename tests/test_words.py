@@ -16,7 +16,6 @@ from ttlab.words import (
     free_reduce_marked,
     inv_letter,
     inverse,
-    join,
     min_rotation,
     parse_letter,
     parse_word,
@@ -150,6 +149,16 @@ def test_reduction_random_involution():
             for k in range(len(r)):
                 assert word_key(min_rotation(cyclic_reduce(rotate(r, k)))[0]) \
                     == word_key(min_rotation(c)[0])
+
+
+def join(u, v):
+    """free_reduce(u + v) for reduced u and v: letters can cancel only at
+    the seam, so trim the matching ends and concatenate what is left.  The
+    stepwise reference for apply_sequence's images (test_splitting)."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 _REDUCED = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
