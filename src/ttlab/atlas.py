@@ -1,15 +1,19 @@
 """Built-in catalogue of tracks, maps, and splitting sequences.
 
-Entry names are part of the command line contract:
+Entry names are part of the command line contract.  The table _ENTRIES
+at the end of this module declares each name once, with its kind, a
+description and the builder that makes it:
 
-  tau, tau_initial, tau_prime          tracks
-  d1, d2, d1_prime, d2_prime           boundary words as printed
-  phi1, phi2, phi3, phi:N (odd N)      self maps of the closed family
-  psi:N (N >= 0)                       the second infinite family
-  alpha, beta, t_ig, t_gi              relabel, involution, twist carriers
-  s1, seq:N (odd N), twist_ig, twist_gi   splitting sequences
+  tau, tau_initial, tau_prime          track
+  d1, d2, d1_prime, d2_prime           word (boundary words as printed)
+  phi1, phi2, phi3, phi:N (odd N)      map (self maps of the closed family)
+  psi:N (N >= 0)                       map (the second infinite family)
+  alpha, beta, t_ig, t_gi              map (relabel, involution, twists)
+  s1, seq:N (odd N), twist_ig, twist_gi   sequence
+  identification_ii                    labels (the bijection closing s1)
 
-The indices N stop at MAX_INDEX.
+A name ending in ":N" is a family whose builder takes the index; the
+indices stop at MAX_INDEX.
 
 The base track is stored as a golden table and can also be re-derived from
 the printed boundary words plus the map words alone, see
@@ -21,13 +25,14 @@ derive_initial_track() cross-checks it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .errors import BadIndex, InconsistentConstraints, UnknownEntry
+from .errors import BadIndex, InconsistentConstraints, TrackError, UnknownEntry
 from .morphism import TrackMorphism, relabel_morphism
 from .splitting import SplitMove, parse_sequence, unsplit
-from .track import Switch, TrainTrack, arrival_end, departure_end, tracks_equal
-from .words import Word, inverse, parse_word
+from .track import (Switch, TrainTrack, arrival_end, departure_end, parse_end,
+                    tracks_equal)
+from .words import Word, find_rotations, inverse, parse_word
 
 ALPHABET = tuple("abcdefghijkl")
 
@@ -76,12 +81,6 @@ PHI2_WORDS = {
     "k": "a d h l a", "l": "f",
 }
 
-PHI3_WORDS = {
-    "a": "k", "b": "f i j", "c": "k g k", "d": "j", "e": "j b f",
-    "f": "l a e a", "g": "a", "h": "l c d", "i": "e", "j": "a e a d",
-    "k": "e a d h l a e", "l": "f",
-}
-
 TWIST_IG_WORDS = {  # tau_prime -> tau
     "a": "a", "b": "b", "c": "c", "d": "d", "e": "e", "f": "f i",
     "g": "g", "h": "h", "i": "i", "j": "i j", "k": "g k g", "l": "l",
@@ -114,20 +113,10 @@ IDENTIFICATION_II_LABELS = {
 def _parse_switches(table) -> tuple[Switch, ...]:
     out = []
     for name, a_txt, b_txt in table:
-        side_a = tuple(_parse_ends(a_txt))
-        side_b = tuple(_parse_ends(b_txt))
+        side_a = tuple(parse_end(tok) for tok in a_txt.split())
+        side_b = tuple(parse_end(tok) for tok in b_txt.split())
         out.append(Switch(name, side_a, side_b))
     return tuple(out)
-
-
-def _parse_ends(text: str):
-    from .track import parse_end
-
-    return [parse_end(tok) for tok in text.split()]
-
-
-def _word(text: str) -> Word:
-    return parse_word(text)
 
 
 def _words(d: dict[str, str]) -> dict[str, Word]:
@@ -145,7 +134,7 @@ def base_track() -> TrainTrack:
         "tau",
         ALPHABET,
         _parse_switches(_TAU_SWITCHES),
-        (("d1", _word(D1)), ("d2", _word(D2))),
+        (("d1", parse_word(D1)), ("d2", parse_word(D2))),
     )
 
 
@@ -155,7 +144,7 @@ def twisted_track() -> TrainTrack:
     t = base_track().relabel({"i": "g", "g": "i"}, name="tau_prime")
     return TrainTrack(
         t.name, t.edges, t.switches,
-        (("d1", _word(D1_PRIME)), ("d2", _word(D2_PRIME))),
+        (("d1", parse_word(D1_PRIME)), ("d2", parse_word(D2_PRIME))),
     )
 
 
@@ -189,10 +178,8 @@ def phi2() -> TrackMorphism:
     return TrackMorphism(t, t, _words(PHI2_WORDS), name="phi2")
 
 
-@lru_cache(maxsize=None)
 def phi3() -> TrackMorphism:
-    t = base_track()
-    return TrackMorphism(t, t, _words(PHI3_WORDS), name="phi3")
+    return phi(3)
 
 
 @lru_cache(maxsize=None)
@@ -240,15 +227,13 @@ def _rep(chunk: str, n: int) -> str:
 def phi(n: int) -> TrackMorphism:
     """The map family: odd n on the base track, n == 2 on the twisted one.
 
-    phi(1) and phi(3) agree with the named entries; for odd n = 2m+1 the
-    words differ from phi1 only on f, j, k, with twist blocks of depth m.
+    phi(1) and phi(2) are the named entries; for odd n = 2m+1 the words
+    differ from phi1 only on f, j, k, with twist blocks of depth m.
     """
     if n == 1:
         return phi1()
     if n == 2:
         return phi2()
-    if n == 3:
-        return phi3()
     if n < 1 or n % 2 == 0:
         raise BadIndex(f"phi is defined for odd indices and 2, not {n}")
     _check_cap(n)
@@ -387,7 +372,7 @@ def reconstruct_base_track() -> TrainTrack:
     inside one cycle, all catalogued self maps come out smooth, and the
     first printed word reappears in the traced boundary as printed.
     """
-    map_words = [_words(PHI1_WORDS), _words(PHI3_WORDS), psi_words_for_check()]
+    map_words = [m.mapping for m in (phi1(), phi(3), psi(1))]
     facts = set()
     for images in map_words:
         for w in images.values():
@@ -395,7 +380,7 @@ def reconstruct_base_track() -> TrainTrack:
                 assert w[k][1] > 0 and w[k + 1][1] > 0
                 facts.add(((w[k][0], "t"), (w[k + 1][0], "i")))
 
-    d1, d2 = _word(D1), _word(D2)
+    d1, d2 = parse_word(D1), parse_word(D2)
     survivors = []
     for flip1 in (False, True):
         for flip2 in (False, True):
@@ -426,11 +411,9 @@ def reconstruct_base_track() -> TrainTrack:
             named = _canonical_switch_names(switches)
             try:
                 track = TrainTrack("tau", ALPHABET, named)
-            except Exception:  # noqa: BLE001  (inconsistent assembly)
+            except TrackError:  # inconsistent assembly
                 continue
             # the first printed word must appear exactly as printed
-            from .words import find_rotations
-
             if not any(
                 find_rotations(d1, c.word) for c in track.boundary_curves
             ):
@@ -438,7 +421,7 @@ def reconstruct_base_track() -> TrainTrack:
             try:
                 for images in map_words:
                     TrackMorphism(track, track, images).check()
-            except Exception:  # noqa: BLE001
+            except TrackError:
                 continue
             survivors.append(track)
 
@@ -453,10 +436,6 @@ def reconstruct_base_track() -> TrainTrack:
     return uniq[0]
 
 
-def psi_words_for_check() -> dict[str, Word]:
-    return {lab: w for lab, w in psi(1).images}
-
-
 def _canonical_switch_names(pairs) -> tuple[Switch, ...]:
     keyed = sorted(pairs, key=lambda ab: min(min(ab[0]), min(ab[1])))
     return tuple(
@@ -465,87 +444,87 @@ def _canonical_switch_names(pairs) -> tuple[Switch, ...]:
 
 
 # ----------------------------------------------------------------------
-# registry
+# registry: name -> (kind, description, builder)
 
-
-_DESCRIPTIONS = {
-    "tau": "base track, genus 3, two 6-cusped boundary circles",
-    "tau_initial": "track the opening sequence starts from",
-    "tau_prime": "base track with the parallel pair i, g exchanged",
-    "d1": "first boundary word of tau as printed",
-    "d2": "second boundary word of tau as printed",
-    "d1_prime": "first boundary word of tau_prime as printed",
-    "d2_prime": "second boundary word of tau_prime as printed",
-    "phi1": "reducible self map of tau carried by the opening sequence",
-    "phi2": "pseudo-Anosov self map of tau_prime (one extra twist)",
-    "phi3": "pseudo-Anosov self map of tau (two extra twists)",
-    "phi:N": "odd map family on tau; phi:1, phi:3 are the named entries",
-    "psi:N": "twisted map family on tau; psi:0 is phi1",
-    "alpha": "relabel morphism tau -> tau_prime exchanging i and g",
-    "beta": "label involution of tau",
-    "t_ig": "twist pair carrier tau_prime -> tau",
-    "t_gi": "twist pair carrier tau -> tau_prime",
-    "s1": "opening sequence of twelve moves, from tau_initial to tau",
-    "seq:N": "s1 plus (N-1)/2 twist pairs, from tau_initial to tau (odd N)",
-    "twist_ig": "four move twist pair, legal on tau, lands on tau_prime",
-    "twist_gi": "four move twist pair, legal on tau_prime, lands on tau",
-    "identification_ii": "label bijection closing s1 so the self map is phi1",
+_ENTRIES = {
+    "tau": ("track", "base track, genus 3, two 6-cusped boundary circles",
+            base_track),
+    "tau_initial": ("track", "track the opening sequence starts from",
+                    initial_track),
+    "tau_prime": ("track", "base track with the parallel pair i, g exchanged",
+                  twisted_track),
+    "d1": ("word", "first boundary word of tau as printed",
+           partial(parse_word, D1)),
+    "d2": ("word", "second boundary word of tau as printed",
+           partial(parse_word, D2)),
+    "d1_prime": ("word", "first boundary word of tau_prime as printed",
+                 partial(parse_word, D1_PRIME)),
+    "d2_prime": ("word", "second boundary word of tau_prime as printed",
+                 partial(parse_word, D2_PRIME)),
+    "phi1": ("map", "reducible self map of tau carried by the opening sequence",
+             phi1),
+    "phi2": ("map", "pseudo-Anosov self map of tau_prime (one extra twist)",
+             phi2),
+    "phi3": ("map", "pseudo-Anosov self map of tau (two extra twists)", phi3),
+    "phi:N": ("map", "odd map family on tau; phi:1, phi:3 are the named entries",
+              phi),
+    "psi:N": ("map", "twisted map family on tau; psi:0 is phi1", psi),
+    "alpha": ("map", "relabel morphism tau -> tau_prime exchanging i and g",
+              alpha),
+    "beta": ("map", "label involution of tau", involution),
+    "t_ig": ("map", "twist pair carrier tau_prime -> tau", t_ig),
+    "t_gi": ("map", "twist pair carrier tau -> tau_prime", t_gi),
+    "s1": ("sequence",
+           "opening sequence of twelve moves, from tau_initial to tau",
+           s1_moves),
+    "seq:N": ("sequence",
+              "s1 plus (N-1)/2 twist pairs, from tau_initial to tau (odd N)",
+              splitting_sequence),
+    "twist_ig": ("sequence",
+                 "four move twist pair, legal on tau, lands on tau_prime",
+                 twist_ig_moves),
+    "twist_gi": ("sequence",
+                 "four move twist pair, legal on tau_prime, lands on tau",
+                 twist_gi_moves),
+    "identification_ii": ("labels",
+                          "label bijection closing s1 so the self map is phi1",
+                          identification_ii),
 }
 
 
 def atlas_names() -> tuple[str, ...]:
-    return tuple(sorted(_DESCRIPTIONS))
+    return tuple(sorted(_ENTRIES))
 
 
 def describe(name: str) -> str:
-    return _DESCRIPTIONS.get(name, "")
+    return _ENTRIES[name][1] if name in _ENTRIES else ""
 
 
-def atlas(name: str):
-    """Look up a catalogue entry; parametric names use a colon, phi:7.
+def entry(name: str) -> tuple[str, object]:
+    """The kind and value of a catalogue entry; parametric names use a
+    colon, phi:7.
 
     Lookup is case insensitive, so T_ig and t_ig are the same entry.
     """
     name = name.lower()
-    plain = {
-        "tau": base_track,
-        "tau_initial": initial_track,
-        "tau_prime": twisted_track,
-        "phi1": phi1,
-        "phi2": phi2,
-        "phi3": phi3,
-        "alpha": alpha,
-        "beta": involution,
-        "t_ig": t_ig,
-        "t_gi": t_gi,
-        "s1": s1_moves,
-        "twist_ig": twist_ig_moves,
-        "twist_gi": twist_gi_moves,
-        "identification_ii": identification_ii,
-    }
-    if name in plain:
-        return plain[name]()
-    if name == "d1":
-        return _word(D1)
-    if name == "d2":
-        return _word(D2)
-    if name == "d1_prime":
-        return _word(D1_PRIME)
-    if name == "d2_prime":
-        return _word(D2_PRIME)
-    if ":" in name:
-        head, _, tail = name.partition(":")
+    head, colon, tail = name.partition(":")
+    if colon:
         try:
             n = int(tail)
         except ValueError:
             raise UnknownEntry(f"bad parameter in atlas name {name!r}") from None
-        try:
-            if head == "phi":
-                return phi(n)
-            if head == "psi":
-                return psi(n)
-            if head == "seq":
-                return splitting_sequence(n)
-        except BadIndex as err:
-            raise UnknownEntry(str(err)) from None
-    raise UnknownEntry(f"no atlas entry named {name!r}")
+        head += ":N"
+    if head not in _ENTRIES:
+        raise UnknownEntry(f"no atlas entry named {name!r}")
+    kind, _, build = _ENTRIES[head]
+    if not colon:
+        return kind, build()
+    try:
+        return kind, build(n)
+    except BadIndex as err:
+        raise UnknownEntry(str(err)) from None
+
+
+def atlas(name: str):
+    """The value of a catalogue entry, see entry()."""
+    return entry(name)[1]

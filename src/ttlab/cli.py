@@ -312,10 +312,11 @@ def cmd_atlas_list(args) -> int:
     return 0
 
 
-def _export_entry(entry, name: str, args) -> int:
-    if isinstance(entry, TrainTrack):
+def _export_entry(name: str, args) -> int:
+    kind, entry = _atlas.entry(name)
+    if kind == "track":
         _emit(dump_track(entry), args.out)
-    elif isinstance(entry, TrackMorphism):
+    elif kind == "map":
         if args.json:
             _emit_json(
                 {"name": entry.name, "source": entry.source.name,
@@ -329,28 +330,23 @@ def _export_entry(entry, name: str, args) -> int:
             parts.append(dump_track(entry.target))
         parts.append(dump_map(entry))
         _emit("\n".join(parts), args.out)
-    elif isinstance(entry, dict):
+    elif kind == "labels":
         _emit("\n".join(f"{k} -> {v}" for k, v in sorted(entry.items())),
               args.out)
-    elif entry and isinstance(entry[0], tuple) and len(entry[0]) == 2 \
-            and isinstance(entry[0][0], str):
-        _emit(format_word(entry), args.out)  # a boundary word
+    elif kind == "word":
+        _emit(format_word(entry), args.out)
     else:
-        _emit(dump_sequence(entry, name=name), args.out)
+        _emit(dump_sequence(entry, name=name.replace(":", "_")), args.out)
     return 0
 
 
 def cmd_atlas_export(args) -> int:
-    return _export_entry(_atlas.atlas(args.name), args.name.replace(":", "_"),
-                         args)
+    return _export_entry(args.name, args)
 
 
-def cmd_atlas_phi(args) -> int:
-    return _export_entry(_atlas.phi(args.n), f"phi_{args.n}", args)
-
-
-def cmd_atlas_psi(args) -> int:
-    return _export_entry(_atlas.psi(args.n), f"psi_{args.n}", args)
+def cmd_atlas_family(args) -> int:
+    """`atlas phi --n N` and `atlas psi --n N` export phi:N and psi:N."""
+    return _export_entry(f"{args.subcommand}:{args.n}", args)
 
 
 def cmd_atlas_reconstruct(args) -> int:
@@ -428,15 +424,79 @@ def cmd_search_loops(args) -> int:
 # parser
 
 
-def _add_common(p, tol=False, expect=False):
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE")
-    if tol:
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="certified bracket width (default 1e-10)")
-    if expect:
-        p.add_argument("--expect", choices=["pA", "reducible", "inconclusive"],
-                       help="exit 1 unless the verdict matches")
+_COMMON = {
+    "--json": {"action": "store_true", "help": "JSON output"},
+    "--out": {"metavar": "FILE", "help": "write output to FILE"},
+}
+_TOL = {"--tol": {"type": float, "default": 1e-10,
+                  "help": "certified bracket width (default 1e-10)"}}
+_SPEC = {"spec": {}}
+
+
+def _spec_for(what: str) -> dict:
+    return {"spec": {"help": f"{what} file, FILE#NAME, or atlas:NAME"}}
+
+
+# group, its help, then per subcommand: name, handler, and the arguments
+# as flag -> add_argument keywords, in the order they are added
+_COMMANDS = (
+    ("track", "inspect and validate tracks", [
+        (name, fn, {**_spec_for("track"), **_COMMON}) for name, fn in (
+            ("validate", cmd_track_validate),
+            ("info", cmd_track_info),
+            ("boundaries", cmd_track_boundaries),
+            ("export", cmd_track_export),
+            ("export-dot", cmd_track_export_dot),
+        )]),
+    ("map", "check, certify, and compose maps", [
+        ("check", cmd_map_check, {**_spec_for("map"), **_COMMON}),
+        ("certify", cmd_map_certify, {**_SPEC, **_COMMON, **_TOL, "--expect": {
+            "choices": ["pA", "reducible", "inconclusive"],
+            "help": "exit 1 unless the verdict matches"}}),
+        ("dilatation", cmd_map_dilatation, {**_SPEC, **_COMMON, **_TOL}),
+        ("boundaries", cmd_map_boundaries, {**_SPEC, **_COMMON}),
+        ("compose", cmd_map_compose, {
+            "specs": {"nargs": "+", "help": "maps, outermost first"},
+            "--name": {"help": "name for the composite"}, **_COMMON}),
+    ]),
+    ("seq", "parse and apply splitting sequences", [
+        ("parse", cmd_seq_parse, {**_spec_for("sequence"), **_COMMON}),
+        ("apply", cmd_seq_apply, {"track": {"help": "starting track"},
+                                  "spec": {"help": "sequence to apply"},
+                                  **_COMMON}),
+    ]),
+    ("atlas", "built-in catalogue", [
+        ("list", cmd_atlas_list, _COMMON),
+        ("export", cmd_atlas_export, {
+            "name": {"help": "catalogue entry, e.g. tau or phi:5"}, **_COMMON}),
+        ("phi", cmd_atlas_family, {
+            "--n": {"type": int, "required": True, "help": "odd map index"},
+            **_COMMON}),
+        ("psi", cmd_atlas_family, {"--n": {"type": int, "required": True},
+                                   **_COMMON}),
+        ("reconstruct", cmd_atlas_reconstruct, _COMMON),
+    ]),
+    ("search", "enumerate splitting loops", [
+        ("loops", cmd_search_loops, {
+            "spec": {"help": "seed track"},
+            "--depth": {"type": int, "default": 4},
+            "--max-nodes": {"type": int, "default": SearchConfig.max_nodes,
+                            "help": "stop after expanding this many tracks, "
+                                    "at least 1 (default "
+                                    f"{SearchConfig.max_nodes})"},
+            "--no-certify": {"action": "store_true",
+                             "help": "skip certifying the loop self maps"},
+            "--fpf": {"action": "store_true",
+                      "help": "emit only fixed point free closures"},
+            "--irreducible": {"action": "store_true",
+                              "help": "emit only closures with irreducible "
+                                      "matrix"},
+            "--json": _COMMON["--json"],
+            "--out": {"metavar": "DIR",
+                      "help": "write one result file per loop under DIR"},
+            **_TOL}),
+    ]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,99 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="train track calculus: tracks, splittings, certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    track = sub.add_parser("track", help="inspect and validate tracks")
-    tsub = track.add_subparsers(dest="subcommand", required=True)
-    for name, fn, extra in (
-        ("validate", cmd_track_validate, {}),
-        ("info", cmd_track_info, {}),
-        ("boundaries", cmd_track_boundaries, {}),
-        ("export", cmd_track_export, {}),
-        ("export-dot", cmd_track_export_dot, {}),
-    ):
-        p = tsub.add_parser(name)
-        p.add_argument("spec", help="track file, FILE#NAME, or atlas:NAME")
-        _add_common(p, **extra)
-        p.set_defaults(func=fn)
-
-    mp = sub.add_parser("map", help="check, certify, and compose maps")
-    msub = mp.add_subparsers(dest="subcommand", required=True)
-    p = msub.add_parser("check")
-    p.add_argument("spec", help="map file, FILE#NAME, or atlas:NAME")
-    _add_common(p)
-    p.set_defaults(func=cmd_map_check)
-    p = msub.add_parser("certify")
-    p.add_argument("spec")
-    _add_common(p, tol=True, expect=True)
-    p.set_defaults(func=cmd_map_certify)
-    p = msub.add_parser("dilatation")
-    p.add_argument("spec")
-    _add_common(p, tol=True)
-    p.set_defaults(func=cmd_map_dilatation)
-    p = msub.add_parser("boundaries")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_map_boundaries)
-    p = msub.add_parser("compose")
-    p.add_argument("specs", nargs="+", help="maps, outermost first")
-    p.add_argument("--name", help="name for the composite")
-    _add_common(p)
-    p.set_defaults(func=cmd_map_compose)
-
-    seq = sub.add_parser("seq", help="parse and apply splitting sequences")
-    ssub = seq.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("parse")
-    p.add_argument("spec", help="sequence file, FILE#NAME, or atlas:NAME")
-    _add_common(p)
-    p.set_defaults(func=cmd_seq_parse)
-    p = ssub.add_parser("apply")
-    p.add_argument("track", help="starting track")
-    p.add_argument("spec", help="sequence to apply")
-    _add_common(p)
-    p.set_defaults(func=cmd_seq_apply)
-
-    at = sub.add_parser("atlas", help="built-in catalogue")
-    asub = at.add_subparsers(dest="subcommand", required=True)
-    p = asub.add_parser("list")
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas_list)
-    p = asub.add_parser("export")
-    p.add_argument("name", help="catalogue entry, e.g. tau or phi:5")
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas_export)
-    p = asub.add_parser("phi")
-    p.add_argument("--n", type=int, required=True, help="odd map index")
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas_phi)
-    p = asub.add_parser("psi")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas_psi)
-    p = asub.add_parser("reconstruct")
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas_reconstruct)
-
-    se = sub.add_parser("search", help="enumerate splitting loops")
-    sesub = se.add_subparsers(dest="subcommand", required=True)
-    p = sesub.add_parser("loops")
-    p.add_argument("spec", help="seed track")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=SearchConfig.max_nodes,
-                   help="stop after expanding this many tracks, at least "
-                        f"1 (default {SearchConfig.max_nodes})")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip certifying the loop self maps")
-    p.add_argument("--fpf", action="store_true",
-                   help="emit only fixed point free closures")
-    p.add_argument("--irreducible", action="store_true",
-                   help="emit only closures with irreducible matrix")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--out", metavar="DIR",
-                   help="write one result file per loop under DIR")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="certified bracket width (default 1e-10)")
-    p.set_defaults(func=cmd_search_loops)
-
+    for group, about, commands in _COMMANDS:
+        gsub = sub.add_parser(group, help=about).add_subparsers(
+            dest="subcommand", required=True)
+        for name, fn, arguments in commands:
+            p = gsub.add_parser(name)
+            for flag, keywords in arguments.items():
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=fn)
     return parser
 
 

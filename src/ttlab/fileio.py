@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .atlas import entry
 from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
@@ -201,12 +202,7 @@ def parse_document(text: str) -> Document:
 
 def _resolve_doc_track(ref: str, doc: Document, line: int) -> TrainTrack:
     if ref.startswith("atlas:"):
-        from .atlas import atlas
-
-        entry = atlas(ref[len("atlas:"):])
-        if not isinstance(entry, TrainTrack):
-            raise ParseError(f"{ref!r} is not a track", line=line)
-        return entry
+        return _atlas_entry(ref, "track", ParseError, line=line)
     if ref not in doc.tracks:
         raise ParseError(f"unknown track {ref!r}", line=line)
     return doc.tracks[ref]
@@ -279,18 +275,25 @@ def dump_document(doc: Document) -> str:
     return "\n".join(parts)
 
 
+def _dot_string(*lines: str) -> str:
+    """A DOT quoted string holding `lines`, joined by DOT's \\n break."""
+    return '"' + "\\n".join(
+        x.replace("\\", "\\\\").replace('"', '\\"') for x in lines) + '"'
+
+
 def track_to_dot(track: TrainTrack) -> str:
     """Graphviz rendering: switches as nodes, edges tail i(x) -> head t(x)."""
-    out = [f'digraph "{track.name}" {{']
+    out = [f"digraph {_dot_string(track.name)} {{"]
     out.append("  node [shape=circle];")
     for sw in track.switches:
         a = " ".join(format_end(e) for e in sw.side_a)
         b = " ".join(format_end(e) for e in sw.side_b)
-        out.append(f'  "{sw.name}" [label="{sw.name}\\n{a} | {b}"];')
+        out.append(f"  {_dot_string(sw.name)} "
+                   f"[label={_dot_string(sw.name, f'{a} | {b}')}];")
     for lab in track.edges:
-        tail = track.switch_of((lab, "i"))
-        head = track.switch_of((lab, "t"))
-        out.append(f'  "{tail}" -> "{head}" [label="{lab}"];')
+        tail = _dot_string(track.switch_of((lab, "i")))
+        head = _dot_string(track.switch_of((lab, "t")))
+        out.append(f"  {tail} -> {head} [label={_dot_string(lab)}];")
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -321,45 +324,34 @@ def _pick(kind: str, table: dict, name: str | None, path: str):
     )
 
 
-def _split_spec(spec: str) -> tuple[str, str | None]:
-    if "#" in spec:
-        path, _, name = spec.partition("#")
-        return path, name
-    return spec, None
+_NOUNS = {"track": "a track", "map": "a map",
+          "sequence": "a splitting sequence"}
+
+
+def _atlas_entry(spec: str, kind: str, error=UnknownEntry, **where):
+    """The value of the catalogue entry "atlas:NAME" names; `error` if its
+    kind is not `kind`."""
+    found, value = entry(spec[len("atlas:"):])
+    if found != kind:
+        raise error(f"{spec!r} is not {_NOUNS[kind]}", **where)
+    return value
+
+
+def _resolve(spec: str, kind: str):
+    if spec.startswith("atlas:"):
+        return _atlas_entry(spec, kind)
+    path, pick, name = spec.partition("#")
+    return _pick(kind, getattr(_load_doc(path), kind + "s"),
+                 name if pick else None, path)
 
 
 def resolve_track(spec: str) -> TrainTrack:
-    if spec.startswith("atlas:"):
-        from .atlas import atlas
-
-        entry = atlas(spec[len("atlas:"):])
-        if not isinstance(entry, TrainTrack):
-            raise UnknownEntry(f"{spec!r} is not a track")
-        return entry
-    path, name = _split_spec(spec)
-    return _pick("track", _load_doc(path).tracks, name, path)
+    return _resolve(spec, "track")
 
 
 def resolve_map(spec: str) -> TrackMorphism:
-    if spec.startswith("atlas:"):
-        from .atlas import atlas
-
-        entry = atlas(spec[len("atlas:"):])
-        if not isinstance(entry, TrackMorphism):
-            raise UnknownEntry(f"{spec!r} is not a map")
-        return entry
-    path, name = _split_spec(spec)
-    return _pick("map", _load_doc(path).maps, name, path)
+    return _resolve(spec, "map")
 
 
 def resolve_sequence(spec: str) -> tuple[SplitMove, ...]:
-    if spec.startswith("atlas:"):
-        from .atlas import atlas
-
-        entry = atlas(spec[len("atlas:"):])
-        if not (isinstance(entry, tuple)
-                and all(isinstance(x, SplitMove) for x in entry)):
-            raise UnknownEntry(f"{spec!r} is not a splitting sequence")
-        return entry
-    path, name = _split_spec(spec)
-    return _pick("sequence", _load_doc(path).sequences, name, path)
+    return _resolve(spec, "sequence")

@@ -231,12 +231,16 @@ def _cw_bounds(rows: list[list[tuple[int, int]]],
     return lo, hi
 
 
-def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
-               max_iterations: int = 20000) -> PerronData:
+# the step budget of dilatation(): a bracket still wider than the tolerance
+# after this many steps raises NoConvergence
+MAX_ITERATIONS = 20_000
+
+
+def dilatation(mat: IncidenceMatrix, tol: float = 1e-10) -> PerronData:
     """Certified Perron root of an irreducible incidence matrix.
 
     Step k brackets the root by the Collatz-Wielandt quotients of
-    M^(k-1) 1; `iterations` is the first step, at most `max_iterations`,
+    M^(k-1) 1; `iterations` is the first step, at most MAX_ITERATIONS,
     whose bracket is narrower than `tol`.  A Perron root of 0 raises
     NotPrimitive.
     """
@@ -275,8 +279,8 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
 
         def advance(v: list[int], k: int, i: int) -> list[int] | None:
             """v_k advanced 2^i steps, or None if the step on the result
-            stops; every step past `max_iterations` counts as stopping."""
-            if k + (1 << i) >= max_iterations:
+            stops; every step past `MAX_ITERATIONS` counts as stopping."""
+            if k + (1 << i) >= MAX_ITERATIONS:
                 return None
             w = times(i, v)
             return None if narrow(w) else w
@@ -284,7 +288,7 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
         # v = v_k = M^k 1, bracketed by step k + 1; k ends as the last index
         # whose step does not stop (-1: none), so step k + 2 stops
         v, k = [1] * n, -1
-        if max_iterations > 0 and not narrow(v):
+        if not narrow(v):
             k, top = 0, 0
             while (w := advance(v, k, top)) is not None:  # gallop
                 v, k, top = w, k + (1 << top), top + 1
@@ -292,10 +296,10 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
                 if (w := advance(v, k, i)) is not None:
                     v, k = w, k + (1 << i)
             v = times(0, v)
-        if k + 1 >= max_iterations:
+        if k + 1 >= MAX_ITERATIONS:
             raise NoConvergence(
                 f"dilatation bracket did not reach tol={tol} "
-                f"in {max_iterations} steps"
+                f"in {MAX_ITERATIONS} steps"
             )
         lo, hi = _cw_bounds(rows, v)
         return Fraction(*lo), Fraction(*hi), v, k + 2

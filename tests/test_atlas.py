@@ -6,7 +6,7 @@ import pytest
 
 from ttlab import atlas as A
 from ttlab.errors import BadIndex, UnknownEntry
-from ttlab.morphism import compose, compose_chain
+from ttlab.morphism import TrackMorphism, compose, compose_chain
 from ttlab.splitting import apply_sequence, format_sequence
 from ttlab.track import isomorphisms, tracks_equal
 from ttlab.words import format_word
@@ -184,6 +184,15 @@ def test_reconstruction_round_trip():
     assert track.canonical_key == A.base_track().canonical_key
     derived = A.derive_initial_track()
     assert derived.canonical_key == A.initial_track().canonical_key
+
+
+def test_reconstruction_does_not_swallow_programming_errors(monkeypatch):
+    def broken(self):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(TrackMorphism, "check", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        A.reconstruct_base_track()
 
 
 def test_atlas_lookup():

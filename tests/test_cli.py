@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from ttlab.atlas import alpha, base_track, phi2, s1_moves, twisted_track
+from ttlab.atlas import (
+    alpha,
+    atlas_names,
+    base_track,
+    phi2,
+    s1_moves,
+    twisted_track,
+)
 from ttlab.cli import main
 from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
 from ttlab.incidence import PerronData
@@ -229,6 +236,40 @@ def test_atlas_phi_psi(capsys):
     code, out, _ = run(capsys, "atlas", "psi", "--n", "2")
     assert code == 0
     assert "[map psi2]" in out
+
+
+# SHA-256 over the stdout of `ttlab atlas export NAME` then `... NAME --json`
+# for every plain name of `atlas list` and four family members, in that
+# order, followed by the stdout of `ttlab atlas list --json`
+CATALOGUE_SHA256 = (
+    "21fcc3ef675b0db0723cf3778f85249057c3b21bbed76dc2995ee95cdfa676fd")
+
+
+def test_catalogue_bytes_are_frozen(capsys):
+    names = [n for n in atlas_names() if not n.endswith(":N")]
+    digest = hashlib.sha256()
+    for name in names + ["phi:1", "phi:3", "psi:0", "seq:3"]:
+        for extra in ((), ("--json",)):
+            code, out, _ = run(capsys, "atlas", "export", name, *extra)
+            assert code == 0
+            digest.update(out.encode())
+    code, out, _ = run(capsys, "atlas", "list", "--json")
+    assert code == 0
+    digest.update(out.encode())
+    assert digest.hexdigest() == CATALOGUE_SHA256
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("map", "check", "atlas:s1"), "'atlas:s1' is not a map"),
+    (("track", "validate", "atlas:phi1"), "'atlas:phi1' is not a track"),
+    (("seq", "parse", "atlas:tau"), "'atlas:tau' is not a splitting sequence"),
+    (("atlas", "export", "foo:x"), "bad parameter in atlas name 'foo:x'"),
+    (("atlas", "export", "tau:3"), "no atlas entry named 'tau:3'"),
+    (("atlas", "phi", "--n", "4"),
+     "phi is defined for odd indices and 2, not 4"),
+])
+def test_catalogue_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_atlas_reconstruct(capsys):

@@ -1,5 +1,7 @@
 """Text serialisation: dumps, parses, resolvers, dot export."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from ttlab.fileio import (
 )
 from ttlab.morphism import TrackMorphism
 from ttlab.splitting import apply_sequence, apply_split, legal_splits
-from ttlab.track import tracks_equal
+from ttlab.track import Switch, TrainTrack, tracks_equal
 
 ATLAS_MAP_NAMES = ["phi1", "phi2", "phi3", "alpha", "beta", "t_ig", "t_gi"]
 
@@ -183,6 +185,31 @@ def test_resolve_missing_fragment(tmp_path):
     f.write_text(dump_track(A.base_track()))
     with pytest.raises(UnknownEntry):
         resolve_track(f"{f}#nope")
+
+
+def test_document_atlas_source_of_the_wrong_kind():
+    text = "[map m]\nsource = atlas:phi1\ntarget = atlas:tau\n"
+    with pytest.raises(ParseError, match="'atlas:phi1' is not a track") as err:
+        parse_document(text)
+    assert err.value.line == 2
+
+
+def test_dot_export_escapes_names():
+    t = A.base_track()
+    names = {"v1": "v\\", "v2": 'a"b"'}
+    odd = TrainTrack('x"y', t.edges, tuple(
+        Switch(names.get(sw.name, sw.name), sw.side_a, sw.side_b)
+        for sw in t.switches))
+    dot = track_to_dot(odd)
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    assert '"' not in quoted.sub("", dot)  # every quote opens or closes one
+    texts = [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], s[1:-1])
+             for s in quoted.findall(dot)]
+    assert texts[0] == 'x"y'
+    for name in names.values():
+        assert name in texts
+        assert any(x.startswith(name + "\n") for x in texts)  # its label
+    assert dot.startswith('digraph "x\\"y" {')
 
 
 def test_dot_export():

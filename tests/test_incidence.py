@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttlab import incidence
 from ttlab.atlas import (
     alpha,
     base_track,
@@ -162,9 +163,10 @@ def test_dilatation_weights_positive_and_normalised():
     assert abs(sum(d.weights) - 1.0) < 1e-9
 
 
-def test_dilatation_max_iterations():
-    with pytest.raises(NoConvergence):
-        dilatation(incidence_matrix(phi2()), tol=1e-10, max_iterations=3)
+def test_dilatation_max_iterations(monkeypatch):
+    monkeypatch.setattr(incidence, "MAX_ITERATIONS", 3)
+    with pytest.raises(NoConvergence, match="in 3 steps"):
+        dilatation(incidence_matrix(phi2()), tol=1e-10)
 
 
 def test_zero_perron_root_is_not_primitive():
@@ -311,8 +313,10 @@ def _outcome(fn, *args):
 def test_dilatation_matches_fraction_reference(data, tol, budget):
     labels = tuple(f"e{i}" for i in range(len(data)))
     mat = IncidenceMatrix(labels, labels, data)
-    assert _outcome(dilatation, mat, tol, budget) == \
-        _outcome(_fraction_dilatation, mat, tol, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "MAX_ITERATIONS", budget)
+        got = _outcome(dilatation, mat, tol)
+    assert got == _outcome(_fraction_dilatation, mat, tol, budget)
 
 
 @st.composite
