@@ -25,6 +25,7 @@ derive_initial_track() cross-checks it.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache, partial
 
 from .errors import BadIndex, InconsistentConstraints, TrackError, UnknownEntry
@@ -500,6 +501,11 @@ def describe(name: str) -> str:
     return _ENTRIES[name][1] if name in _ENTRIES else ""
 
 
+# a family index in plain ASCII decimal, so each member has one spelling:
+# no '+', spaces, leading zeros, digit underscores or '-0'
+_INDEX_RE = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def entry(name: str) -> tuple[str, object]:
     """The kind and value of a catalogue entry; parametric names use a
     colon, phi:7.
@@ -509,10 +515,9 @@ def entry(name: str) -> tuple[str, object]:
     name = name.lower()
     head, colon, tail = name.partition(":")
     if colon:
-        try:
-            n = int(tail)
-        except ValueError:
-            raise UnknownEntry(f"bad parameter in atlas name {name!r}") from None
+        if not _INDEX_RE.fullmatch(tail):
+            raise UnknownEntry(f"bad parameter in atlas name {name!r}")
+        n = int(tail)
         head += ":N"
     if head not in _ENTRIES:
         raise UnknownEntry(f"no atlas entry named {name!r}")

@@ -18,15 +18,7 @@ class InvalidTrack(TrackError):
 
 
 class NotOrientable(TrackError):
-    """A coherent edge orientation was requested but none exists.
-
-    Attributes:
-        cycle: list of edge labels forming an odd obstruction, if known.
-    """
-
-    def __init__(self, message: str, cycle: list[str] | None = None):
-        super().__init__(message)
-        self.cycle = cycle or []
+    """A coherent edge orientation was requested but none exists."""
 
 
 class InvalidMorphism(TrackError):

@@ -20,13 +20,17 @@ One document can hold any mix of sections:
     moves = i(b)/t(l); t(b)/i(d)
 
 Switch sections attach to the most recent [track].  Map sources and targets
-name a track from the same document or a catalogue entry via "atlas:NAME".
-"#" starts a comment anywhere on a line.  Repeated "moves" keys append.
+name a track from the same document or a catalogue entry via "atlas:NAME";
+maps resolve once every track is read, so a map may precede its track.
+"#" starts a comment anywhere on a line.  Each "moves" line appends to its
+sequence; a repeated "edges", "side_a", "side_b" or map key is an error, as
+is a repeated track, switch, map or sequence name.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .atlas import entry
@@ -34,7 +38,7 @@ from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
 from .track import Switch, TrainTrack, format_end, is_name, parse_end
-from .words import Word, format_word, parse_word
+from .words import format_word, parse_word
 
 _HEADER_RE = re.compile(r"^\[\s*(track|switch|map|sequence)\s+([^\s\]]+)\s*\]$")
 
@@ -46,72 +50,35 @@ class Document:
     sequences: dict[str, tuple[SplitMove, ...]] = field(default_factory=dict)
 
 
-class _TrackBuilder:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.edges: tuple[str, ...] | None = None
-        self.boundaries: list[tuple[str, Word]] = []
-        self.switches: list[Switch] = []
-
-    def finish(self) -> TrainTrack:
-        if self.edges is None:
-            raise ParseError(f"track {self.name!r} has no edges line",
-                             line=self.line)
-        try:
-            return TrainTrack(self.name, self.edges, tuple(self.switches),
-                              tuple(self.boundaries))
-        except InvalidTrack as err:
-            raise ParseError(f"track {self.name!r}: {err}",
-                             line=self.line) from None
-
-
-class _SwitchBuilder:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.side_a: tuple | None = None
-        self.side_b: tuple | None = None
-
-    def finish(self) -> Switch:
-        if self.side_a is None or self.side_b is None:
-            raise ParseError(f"switch {self.name!r} needs side_a and side_b",
-                             line=self.line)
-        return Switch(self.name, self.side_a, self.side_b)
-
-
-def _parse_side(value: str, line: int) -> tuple:
-    return tuple(parse_end(tok, line) for tok in value.split())
-
-
 def parse_document(text: str) -> Document:
     doc = Document()
-    open_track: _TrackBuilder | None = None
-    open_switch: _SwitchBuilder | None = None
-    # (name, line, keys) triples resolved once all tracks are known
-    raw_maps: list[tuple[str, int, dict[str, tuple[int, str]]]] = []
-    raw_seqs: list[tuple[str, int, list[tuple[int, str]]]] = []
-    section: tuple[str, object] | None = None
+    # open sections as (kind, name, header line, data), outermost first: a
+    # track and its switch, or one map or sequence
+    stack: list[tuple[str, str, int, defaultdict]] = []
+    # map and sequence data by name, built once every track is known
+    later: dict[str, dict[str, tuple[int, defaultdict]]] = {"map": {}, "sequence": {}}
 
-    def close_switch():
-        nonlocal open_switch
-        if open_switch is not None:
-            if open_track is None:
-                raise ParseError("switch section outside any track",
-                                 line=open_switch.line)
-            open_track.switches.append(open_switch.finish())
-            open_switch = None
-
-    def close_track():
-        nonlocal open_track
-        close_switch()
-        if open_track is not None:
-            t = open_track.finish()
-            if t.name in doc.tracks:
-                raise ParseError(f"duplicate track {t.name!r}",
-                                 line=open_track.line)
-            doc.tracks[t.name] = t
-            open_track = None
+    def close():
+        kind, name, line, data = stack.pop()
+        if kind == "switch":
+            if "side_a" not in data or "side_b" not in data:
+                raise ParseError(f"switch {name!r} needs side_a and side_b",
+                                 line=line)
+            stack[-1][3]["switches"].append(
+                Switch(name, data["side_a"], data["side_b"]))
+        elif kind == "track":
+            if "edges" not in data:
+                raise ParseError(f"track {name!r} has no edges line", line=line)
+            try:
+                track = TrainTrack(name, data["edges"], tuple(data["switches"]),
+                                   tuple(data["boundaries"]))
+            except InvalidTrack as err:
+                raise ParseError(f"track {name!r}: {err}", line=line) from None
+            if name in doc.tracks:
+                raise ParseError(f"duplicate track {name!r}", line=line)
+            doc.tracks[name] = track
+        else:
+            later[kind][name] = (line, data)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -121,82 +88,64 @@ def parse_document(text: str) -> Document:
             m = _HEADER_RE.match(body)
             if not m:
                 raise ParseError(f"bad section header {body!r}", line=lineno)
-            kind, name = m.group(1), m.group(2)
-            if kind == "switch":
-                close_switch()
-                if open_track is None:
-                    raise ParseError("switch section outside any track",
-                                     line=lineno)
-                open_switch = _SwitchBuilder(name, lineno)
-                section = ("switch", open_switch)
-            else:
-                close_track()
-                if kind == "track":
-                    open_track = _TrackBuilder(name, lineno)
-                    section = ("track", open_track)
-                elif kind == "map":
-                    if any(name == n for n, _, _ in raw_maps):
-                        raise ParseError(f"duplicate map {name!r}", line=lineno)
-                    raw_maps.append((name, lineno, {}))
-                    section = ("map", raw_maps[-1][2])
-                else:
-                    if any(name == n for n, _, _ in raw_seqs):
-                        raise ParseError(f"duplicate sequence {name!r}",
-                                         line=lineno)
-                    raw_seqs.append((name, lineno, []))
-                    section = ("sequence", raw_seqs[-1][2])
+            kind, name = m.groups()
+            # a switch header closes only an open switch, any other all
+            while stack and (kind != "switch" or stack[-1][0] == "switch"):
+                close()
+            if kind == "switch" and (not stack or stack[-1][0] != "track"):
+                raise ParseError("switch section outside any track", line=lineno)
+            if name in later.get(kind, ()):
+                raise ParseError(f"duplicate {kind} {name!r}", line=lineno)
+            stack.append((kind, name, lineno, defaultdict(list)))
             continue
         if "=" not in body:
             raise ParseError(f"expected 'key = value', got {body!r}",
                              line=lineno)
         key, _, value = body.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section is None:
+        key, value = key.strip(), value.strip()
+        if not stack:
             raise ParseError("data line before any section header", line=lineno)
-        skind, store = section
-        if skind == "track":
-            tb: _TrackBuilder = store  # type: ignore[assignment]
-            if key == "edges":
-                if tb.edges is not None:
-                    raise ParseError("edges given twice", line=lineno)
-                tb.edges = tuple(value.split())
-            elif key.startswith("boundary"):
-                parts = key.split()
-                if len(parts) != 2:
-                    raise ParseError("boundary lines read 'boundary NAME = word'",
-                                     line=lineno)
-                tb.boundaries.append((parts[1], parse_word(value, lineno)))
-            else:
-                raise ParseError(f"unknown track key {key!r}", line=lineno)
-        elif skind == "switch":
-            sb: _SwitchBuilder = store  # type: ignore[assignment]
-            if key == "side_a":
-                sb.side_a = _parse_side(value, lineno)
-            elif key == "side_b":
-                sb.side_b = _parse_side(value, lineno)
-            else:
-                raise ParseError(f"unknown switch key {key!r}", line=lineno)
-        elif skind == "map":
-            entries: dict[str, tuple[int, str]] = store  # type: ignore[assignment]
-            if key in entries:
+        kind, _, _, data = stack[-1]
+        if kind == "map":
+            if key in data:
                 raise ParseError(f"duplicate map key {key!r}", line=lineno)
-            entries[key] = (lineno, value)
+            data[key] = (lineno, value)
+        elif (kind, key) == ("track", "edges"):
+            if key in data:
+                raise ParseError("edges given twice", line=lineno)
+            data[key] = tuple(value.split())
+        elif kind == "track" and key.startswith("boundary"):
+            parts = key.split()
+            if len(parts) != 2:
+                raise ParseError("boundary lines read 'boundary NAME = word'",
+                                 line=lineno)
+            data["boundaries"].append((parts[1], parse_word(value, lineno)))
+        elif kind == "switch" and key in ("side_a", "side_b"):
+            if key in data:
+                raise ParseError(f"{key} given twice", line=lineno)
+            data[key] = tuple(parse_end(tok, lineno) for tok in value.split())
+        elif (kind, key) == ("sequence", "moves"):
+            data[key].append((lineno, value))
         else:
-            lines: list[tuple[int, str]] = store  # type: ignore[assignment]
-            if key != "moves":
-                raise ParseError(f"unknown sequence key {key!r}", line=lineno)
-            lines.append((lineno, value))
+            raise ParseError(f"unknown {kind} key {key!r}", line=lineno)
 
-    close_track()
-
-    for name, header_line, entries in raw_maps:
-        doc.maps[name] = _finish_map(name, header_line, entries, doc)
-    for name, header_line, lines in raw_seqs:
-        moves: list[SplitMove] = []
-        for lineno, value in lines:
-            moves.extend(parse_sequence(value, line=lineno))
-        doc.sequences[name] = tuple(moves)
+    while stack:
+        close()
+    for name, (line, data) in later["map"].items():
+        if "source" not in data or "target" not in data:
+            raise ParseError(f"map {name!r} needs source and target", line=line)
+        src_line, src_ref = data.pop("source")
+        tgt_line, tgt_ref = data.pop("target")
+        source = _resolve_doc_track(src_ref, doc, src_line)
+        target = _resolve_doc_track(tgt_ref, doc, tgt_line)
+        images = {lab: parse_word(value, ln) for lab, (ln, value) in data.items()}
+        try:
+            doc.maps[name] = TrackMorphism(source, target, images, name=name)
+        except TrackError as err:  # coverage and edge errors carry no line
+            raise ParseError(f"map {name!r}: {err}", line=line) from None
+    for name, (_, data) in later["sequence"].items():
+        doc.sequences[name] = tuple(move for ln, value in data["moves"]
+                                    for move in parse_sequence(value, line=ln))
     return doc
 
 
@@ -206,24 +155,6 @@ def _resolve_doc_track(ref: str, doc: Document, line: int) -> TrainTrack:
     if ref not in doc.tracks:
         raise ParseError(f"unknown track {ref!r}", line=line)
     return doc.tracks[ref]
-
-
-def _finish_map(name: str, header_line: int,
-                entries: dict[str, tuple[int, str]], doc: Document) -> TrackMorphism:
-    if "source" not in entries or "target" not in entries:
-        raise ParseError(f"map {name!r} needs source and target",
-                         line=header_line)
-    src_line, src_ref = entries.pop("source")
-    tgt_line, tgt_ref = entries.pop("target")
-    source = _resolve_doc_track(src_ref, doc, src_line)
-    target = _resolve_doc_track(tgt_ref, doc, tgt_line)
-    images = {}
-    for lab, (lineno, value) in entries.items():
-        images[lab] = parse_word(value, lineno)
-    try:
-        return TrackMorphism(source, target, images, name=name)
-    except TrackError as err:  # coverage and edge errors carry no line
-        raise ParseError(f"map {name!r}: {err}", line=header_line) from None
 
 
 # ----------------------------------------------------------------------

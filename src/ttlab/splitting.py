@@ -26,7 +26,8 @@ from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
-from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
+from .track import (End, Switch, TrainTrack, flip_end, format_end,
+                    letter_from_departure, parse_end)
 from .words import Word, free_reduce, inv_letter, inverse
 
 
@@ -180,14 +181,9 @@ def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
                          for slid, over in _moves_at(sw)), key=str))
 
 
-def _ride_letter(over: End):
-    y, kind = over
-    return (y, 1) if kind == "i" else (y, -1)
-
-
 def _slid_image(move: SplitMove) -> Word:
     """The image of the slid edge under the move's morphism."""
-    x, r = move.slid[0], _ride_letter(move.over)
+    x, r = move.slid[0], letter_from_departure(move.over)
     return ((x, 1), r) if move.slid[1] == "t" else (inv_letter(r), (x, 1))
 
 

@@ -341,25 +341,22 @@ class TrainTrack:
         """Coherent edge orientation (+1 means the edge flows i -> t).
 
         At every switch one whole side must arrive and the other depart.
-        Parity propagation over the edges; raises NotOrientable (with an
-        edge-set witness) when the constraints close an odd cycle.
+        Parity propagation over the edges; raises NotOrientable when the
+        constraints close an odd cycle.
         """
         # parity(end) = 0 for t(x), 1 for i(x); within a side the value
         # parity(end) + o(label) is constant, across sides it flips.
         color: dict[str, int] = {}
 
-        def assign(label: str, val: int, trail: list[str]):
+        def assign(label: str, val: int):
             stack = [(label, val)]
             while stack:
                 lab, v = stack.pop()
                 if lab in color:
                     if color[lab] != v:
-                        raise NotOrientable(
-                            "no coherent orientation", cycle=sorted(set(trail + [lab]))
-                        )
+                        raise NotOrientable("no coherent orientation")
                     continue
                 color[lab] = v
-                trail.append(lab)
                 for sw in self.switches:
                     for side_idx, side in ((0, sw.side_a), (1, sw.side_b)):
                         hit = [e for e in side if e[0] == lab]
@@ -376,7 +373,7 @@ class TrainTrack:
 
         for lab in sorted(self.edges):
             if lab not in color:
-                assign(lab, 0, [])
+                assign(lab, 0)
         return {lab: (1 if c == 0 else -1) for lab, c in color.items()}
 
     # ------------------------------------------------------------------

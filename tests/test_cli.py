@@ -267,6 +267,12 @@ def test_catalogue_bytes_are_frozen(capsys):
     (("atlas", "export", "tau:3"), "no atlas entry named 'tau:3'"),
     (("atlas", "phi", "--n", "4"),
      "phi is defined for odd indices and 2, not 4"),
+    (("atlas", "export", "phi:-3"), "phi is defined for odd indices and 2, not -3"),
+    (("atlas", "export", "psi:-1"), "psi needs n >= 0, not -1"),
+    # a family index has one spelling, in ASCII digits
+    *((("atlas", "export", name), f"bad parameter in atlas name {name!r}")
+      for name in ("phi:1_1", "phi:+3", "phi:03", "phi: 3", "phi:3 ",
+                   "phi:\u0663", "psi:-0", "seq:-")),
 ])
 def test_catalogue_error_messages(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

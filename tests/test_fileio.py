@@ -218,3 +218,73 @@ def test_dot_export():
     assert dot.rstrip().endswith("}")
     assert dot.count("->") == 12
     assert '"v5" [label="v5\\nt(f) t(g) | i(i) i(k)"];' in dot
+
+
+_CIRCLES = ("[track circles]\nedges = a b\n[switch v]\nside_a = i(a)\n"
+            "side_b = t(a)\n[switch w]\nside_a = i(b)\nside_b = t(b)\n")
+_MAP = "[map m]\nsource = circles\ntarget = circles\na = b\nb = a\n"
+_SEQ = "[sequence s]\nmoves = i(a)/t(b)\n"
+_GOOD = _CIRCLES + _MAP + _SEQ  # lines 1-8 track, 9-13 map, 14-15 sequence
+
+
+def _edit(old: str, new: str) -> str:
+    assert old in _GOOD
+    return _GOOD.replace(old, new)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_edit("[map m]", "[blob m]"), 9, "bad section header '[blob m]'"),
+    (_CIRCLES.replace("[track circles]\nedges = a b\n", "") + _CIRCLES,
+     1, "switch section outside any track"),
+    (_MAP + _CIRCLES.replace("[track circles]\nedges = a b\n", ""),
+     6, "switch section outside any track"),
+    (_GOOD + _MAP, 16, "duplicate map 'm'"),
+    (_GOOD + _SEQ, 16, "duplicate sequence 's'"),
+    (_edit("edges = a b", "edges a b"),
+     2, "expected 'key = value', got 'edges a b'"),
+    ("edges = a b\n" + _GOOD, 1, "data line before any section header"),
+    (_edit("edges = a b", "edges = a b\nedges = a b"), 3, "edges given twice"),
+    (_edit("edges = a b", "edges = a b\nboundary = a -a"),
+     3, "boundary lines read 'boundary NAME = word'"),
+    (_edit("edges = a b", "edges = a b\nedge = a b"), 3, "unknown track key 'edge'"),
+    (_edit("side_a = i(b)", "side_a = i(b)\nside_c = i(b)"),
+     8, "unknown switch key 'side_c'"),
+    (_edit("a = b\n", "a = b\na = a\n"), 13, "duplicate map key 'a'"),
+    (_edit("moves = ", "move = "), 15, "unknown sequence key 'move'"),
+    (_edit("edges = a b\n", ""), 1, "track 'circles' has no edges line"),
+    (_edit("edges = a b", "edges = a b c"),
+     1, "track 'circles': ends do not match edge list: missing i(c), t(c)"),
+    (_GOOD + _CIRCLES, 16, "duplicate track 'circles'"),
+    (_edit("side_b = t(b)\n", ""), 6, "switch 'w' needs side_a and side_b"),
+    (_edit("source = circles\n", ""), 9, "map 'm' needs source and target"),
+    (_edit("source = circles", "source = missing"), 10, "unknown track 'missing'"),
+    (_edit("target = circles", "target = atlas:phi1"),
+     11, "'atlas:phi1' is not a track"),
+    (_edit("b = a\n", ""), 9, "map 'm': images must cover the source edges exactly; "
+     "got ['a'], want ['a', 'b']"),
+    (_edit("a = b\n", "a = b !\n"), 12, "col 3: bad letter token '!'"),
+    (_edit("edges = a b", "edges = a b\nboundary d = a -b ?"),
+     3, "col 6: bad letter token '?'"),
+    (_edit("side_a = i(b)", "side_a = i(b) x(a)"),
+     7, "bad end token 'x(a)', expected t(x) or i(x)"),
+    (_edit("i(a)/t(b)", "i(a)/t(b); zzz"),
+     15, "col 12: bad move token 'zzz', expected like t(a)/i(b)"),
+])
+def test_parse_document_single_fault(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    sep = ", " if message.startswith("col ") else ": "
+    assert str(err.value) == f"line {line}{sep}{message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("side_a = i(a)", "side_a = i(zz) t(q)\nside_a = i(a)", 5),
+    ("side_b = t(a)", "side_b = t(zz)\nside_b = t(a)", 6),
+])
+def test_parse_document_rejects_a_repeated_switch_side(old, new, line):
+    side = old.split()[0]
+    with pytest.raises(ParseError) as err:
+        parse_document(_edit(old, new))
+    assert str(err.value) == f"line {line}: {side} given twice"
+    assert err.value.line == line
