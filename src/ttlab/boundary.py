@@ -3,8 +3,11 @@
 The image of a boundary word is substituted letter by letter, cyclically
 reduced while remembering which positions survive, and matched against a
 rotation of a target curve (maps are orientation preserving, so reversals
-are rejected).  Cusps must land on cusps; the cancelled run straddling a
-cusp junction is its fold depth.
+are rejected).  Every end of a track departs exactly once along its
+boundary curves, so each signed letter occurs once in all their words, and
+a non-empty reduced image matches at most one rotation of one curve.  Cusps
+must land on cusps; the cancelled run straddling a cusp junction is its
+fold depth.
 
 For a self map the sides between cusps get permuted up to overhang:
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 from .errors import AlignmentError, BoundaryNotPreserved, NotASelfMap
 from .morphism import TrackMorphism
-from .track import BoundaryCurve
 from .words import (
     Word,
     cyclic_reduce_marked,
@@ -72,24 +74,6 @@ def _image_blocks(m: TrackMorphism, word: Word) -> tuple[Word, tuple[int, ...]]:
     return flat, tuple(offsets[:-1])
 
 
-def _fold_depth(survivor_flags: list[bool], pos: int) -> tuple[int, int]:
-    """Lengths of the dead runs just before and just after `pos`, cyclically."""
-    n = len(survivor_flags)
-    if n == 0:
-        return 0, 0
-    before = 0
-    k = (pos - 1) % n
-    while not survivor_flags[k] and before < n:
-        before += 1
-        k = (k - 1) % n
-    after = 0
-    k = pos % n
-    while not survivor_flags[k] and after < n:
-        after += 1
-        k = (k + 1) % n
-    return before, after
-
-
 def boundary_action(m: TrackMorphism) -> BoundaryAction:
     src_curves = m.source.boundary_curves
     tgt_curves = m.target.boundary_curves
@@ -101,31 +85,18 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
         reduced, survivors = cyclic_reduce_marked(raw)
         if not reduced:
             raise AlignmentError(f"image of boundary curve {i} cancels completely")
-        flags = [False] * len(raw)
-        for s in survivors:
-            flags[s] = True
+        # index into `reduced` of the first survivor at or after each cusp
+        landing = [bisect_left(survivors, junctions[c]) for c in curve.cusps]
 
-        match = None
-        for j, tgt in enumerate(tgt_curves):
-            for r in find_rotations(reduced, tgt.word):
-                # cusps must land on cusps for the rotation to count
-                ok = True
-                cusp_imgs = []
-                for c in curve.cusps:
-                    s_c = bisect_left(survivors, junctions[c])
-                    tj = (s_c + r) % len(tgt.word)
-                    if tj not in tgt.cusps:
-                        ok = False
-                        break
-                    cusp_imgs.append(tgt.cusps.index(tj))
-                if ok:
-                    if match is not None:
-                        warnings.append(
-                            f"curve {i}: rotational symmetry, rotation is "
-                            f"only defined up to it"
-                        )
-                    else:
-                        match = (j, r, tuple(cusp_imgs))
+        # the one rotation that can match, see the module docstring
+        match = next(((j, r) for j, tgt in enumerate(tgt_curves)
+                      for r in find_rotations(reduced, tgt.word)), None)
+        if match is not None:
+            j, r = match
+            tgt = tgt_curves[j]
+            hits = [(k + r) % len(reduced) for k in landing]
+            if not all(h in tgt.cusps for h in hits):
+                match = None  # cusps must land on cusps for the rotation to count
         if match is None:
             # diagnose orientation reversals separately, they are a real
             # modelling error rather than a near miss
@@ -142,10 +113,14 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
                 )
             raise AlignmentError(f"image of curve {i} matches no target curve")
 
-        j, r, cusp_imgs = match
+        cusp_imgs = tuple(tgt.cusps.index(h) for h in hits)
+        # the dead runs between a cusp's junction and the survivors on
+        # either side of it, cyclically
+        n = len(raw)
         depths = []
-        for c in curve.cusps:
-            before, after = _fold_depth(flags, junctions[c])
+        for c, k in zip(curve.cusps, landing):
+            before = (junctions[c] - 1 - survivors[k - 1]) % n
+            after = (survivors[k % len(survivors)] - junctions[c]) % n
             if before != after:
                 warnings.append(
                     f"curve {i} cusp {c}: unbalanced cancellation "
@@ -153,7 +128,6 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
                 )
             depths.append(before)
         shift: int | None = None
-        tgt = tgt_curves[j]
         if curve.cusps and len(curve.cusps) == len(tgt.cusps):
             shifts = {
                 (ti - si) % len(curve.cusps)
@@ -213,14 +187,6 @@ class SideDynamics:
         return all(c == 1 for o in self.orbits for c in o.counts)
 
 
-def _side_words(curves: tuple[BoundaryCurve, ...]) -> dict[tuple[int, int], Word]:
-    out = {}
-    for i, c in enumerate(curves):
-        for k, w in enumerate(c.sides):
-            out[(i, k)] = w
-    return out
-
-
 def _letter_lengths(m: TrackMorphism, depth: int) -> list[dict[str, int]]:
     """lengths[d][label] = |phi^d(label)|, assuming no cancellation (smooth)."""
     labels = m.source.edges
@@ -239,12 +205,11 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
     if action is None:
         action = boundary_action(m)
     curves = m.source.boundary_curves
-    words = _side_words(curves)
     warnings = list(action.warnings)
 
-    # sigma on sides, with the overhang decomposition checked exactly
+    # sigma on sides, in curve/side order
+    words: dict[tuple[int, int], Word] = {}
     sigma: dict[tuple[int, int], tuple[int, int]] = {}
-    left_overhang: dict[tuple[int, int], int] = {}
     for i, curve in enumerate(curves):
         ci = action.curves[i]
         k_cusps = len(curve.cusps)
@@ -252,75 +217,57 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
             raise AlignmentError(
                 f"curve {i} has no cusps; side dynamics is undefined"
             )
-        tgt_curve = curves[ci.target_index]
-        for k in range(k_cusps):
+        n_target = len(curves[ci.target_index].cusps)
+        for k, word in enumerate(curve.sides):
             img_from = ci.cusp_images[k]
-            img_to = ci.cusp_images[(k + 1) % k_cusps]
-            if (img_from + 1) % len(tgt_curve.cusps) != img_to:
+            if (img_from + 1) % n_target != ci.cusp_images[(k + 1) % k_cusps]:
                 raise AlignmentError(
                     f"side {k} of curve {i} maps over more than one side"
                 )
+            words[(i, k)] = word
             sigma[(i, k)] = (ci.target_index, img_from)
-            left_overhang[(i, k)] = ci.fold_depths[k]
 
-    # verify the decomposition phi(word(s)) == A word(sigma s) B letter by letter
-    images = {s: substitute(w, m.mapping) for s, w in words.items()}
-    for s, img in sorted(images.items()):
+    # phi(word(s)) == A word(sigma s) B letter by letter, |A| the fold depth
+    # at the left cusp of s
+    overhangs: dict[tuple[int, int], tuple[Word, Word]] = {}
+    for s, word in words.items():
+        img = substitute(word, m.mapping)
+        a = action.curves[s[0]].fold_depths[s[1]]
         mid = words[sigma[s]]
-        a = left_overhang[s]
-        b = len(img) - a - len(mid)
-        if b < 0 or img[a:a + len(mid)] != mid:
+        if img[a:a + len(mid)] != mid:
             raise AlignmentError(
                 f"side {s}: image does not decompose over side {sigma[s]}"
             )
+        overhangs[s] = (img[:a], img[a + len(mid):])
 
-    # orbits of sigma
-    seen: set[tuple[int, int]] = set()
     orbit_list: list[tuple[tuple[int, int], ...]] = []
-    for s in sorted(words):
-        if s in seen:
-            continue
-        orb = [s]
-        seen.add(s)
-        cur = sigma[s]
-        while cur != s:
-            orb.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        orbit_list.append(tuple(orb))
-
-    max_period = max(len(o) for o in orbit_list)
-    lengths = _letter_lengths(m, max_period)
-
-    def word_len(word: Word, depth: int) -> int:
-        return sum(lengths[depth][lab] for lab, _ in word)
+    seen: set[tuple[int, int]] = set()
+    for s in words:
+        if s not in seen:
+            orb = [s]
+            while sigma[orb[-1]] != s:
+                orb.append(sigma[orb[-1]])
+            seen.update(orb)
+            orbit_list.append(tuple(orb))
+    lengths = _letter_lengths(m, max(len(o) for o in orbit_list))
 
     orbits: list[SideOrbit] = []
     degenerate = False
     boundary_points = 0
-    total = 0
     for orb in orbit_list:
         p = len(orb)
-        # A_s is a prefix of phi(word(s)); its letters are needed for the
-        # exact length under iteration
-        a_words = {s: images[s][:left_overhang[s]] for s in orb}
-        # T(orb[j]) = sum over k of |phi^(p-1-k)(A_{sigma^k orb[j]})|
-        t_offs = []
-        for j in range(p):
-            t_offs.append(
-                sum(
-                    word_len(a_words[orb[(j + k) % p]], p - 1 - k)
-                    for k in range(p)
-                )
-            )
+        # T(orb[j]) = sum over k of |phi^(p-1-k)(A of orb[j+k])|
+        t_offs = tuple(
+            sum(lengths[p - 1 - k][lab]
+                for k in range(p) for lab, _ in overhangs[orb[(j + k) % p]][0])
+            for j in range(p)
+        )
         cover: list[list[int]] = []
-        counts = []
-        for j, s in enumerate(orb):
+        for s, t_off in zip(orb, t_offs):
             found: list[int] = []
-            t_off = t_offs[j]
             lam = 0
-            for q, lt in enumerate(words[s]):
-                m_q = lengths[p][lt[0]]
+            for q, (lab, _) in enumerate(words[s]):
+                m_q = lengths[p][lab]
                 mu = lam + m_q
                 if m_q == 1 and lam == t_off + q:
                     warnings.append(
@@ -339,58 +286,32 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
                     )
                 lam = mu
             cover.append(found)
-            counts.append(len(found))
-            total += len(found)
-        points = []
-        if all(c == 1 for c in counts):
-            for j, s in enumerate(orb):
-                itin = []
-                for k in range(p):
-                    sk = orb[(j + k) % p]
-                    qk = cover[(j + k) % p][0]
-                    itin.append((sk[0], sk[1], qk, words[sk][qk][0]))
-                rendered = _render_itinerary(
-                    images, orb, j, words, left_overhang, cover
-                )
-                points.append(
-                    PeriodicPoint(s[0], s[1], cover[j][0],
-                                  words[s][cover[j][0]][0],
-                                  tuple(itin), rendered)
-                )
-        orbits.append(
-            SideOrbit(orb, p, tuple(t_offs), tuple(counts), tuple(points))
-        )
+        points: tuple[PeriodicPoint, ...] = ()
+        if all(len(found) == 1 for found in cover):
+            qs = [found[0] for found in cover]
+            # (curve, side, letter index, letter label) of each orbit step
+            stops = [(*s, q, words[s][q][0]) for s, q in zip(orb, qs)]
+            marked = [_mark_word(words[s], q) for s, q in zip(orb, qs)]
+            # marked edge display of each step: phi(word(s)) as
+            # A.[word(sigma s)].B with the next covering letter marked
+            steps = [".".join(filter(None, (format_word(overhangs[s][0], sep="."),
+                                            marked[(k + 1) % p],
+                                            format_word(overhangs[s][1], sep="."))))
+                     for k, s in enumerate(orb)]
+            points = tuple(
+                PeriodicPoint(*stops[j], tuple(stops[j:] + stops[:j]),
+                              " -> ".join([marked[j], *steps[j:], *steps[:j]]))
+                for j in range(p)
+            )
+        orbits.append(SideOrbit(orb, p, t_offs,
+                                tuple(len(found) for found in cover), points))
 
-    return SideDynamics(tuple(orbits), total, degenerate, boundary_points,
-                        tuple(warnings))
+    return SideDynamics(tuple(orbits), sum(sum(o.counts) for o in orbits),
+                        degenerate, boundary_points, tuple(warnings))
 
 
 def _mark_word(word: Word, marked: int) -> str:
-    return ".".join(
+    return "[" + ".".join(
         format_word([lt]) + ("*" if j == marked else "")
         for j, lt in enumerate(word)
-    )
-
-
-def _render_itinerary(images, orb, start: int, words, left_overhang, cover) -> str:
-    """Marked edge display: the side with its covering letter, then each
-    image decomposition A.[mid].B with the next covering letter marked."""
-    p = len(orb)
-    s0 = orb[start]
-    parts = [f"[{_mark_word(words[s0], cover[start][0])}]"]
-    for k in range(p):
-        s = orb[(start + k) % p]
-        nxt_idx = (start + k + 1) % p
-        nxt = orb[nxt_idx]
-        img = images[s]
-        a = left_overhang[s]
-        mid = words[nxt]
-        a_word = img[:a]
-        b_word = img[a + len(mid):]
-        chunk = f"[{_mark_word(mid, cover[nxt_idx][0])}]"
-        if a_word:
-            chunk = format_word(a_word, sep=".") + "." + chunk
-        if b_word:
-            chunk = chunk + "." + format_word(b_word, sep=".")
-        parts.append(chunk)
-    return " -> ".join(parts)
+    ) + "]"

@@ -114,7 +114,7 @@ def parse_document(text: str) -> Document:
             if key in data:
                 raise ParseError("edges given twice", line=lineno)
             data[key] = tuple(value.split())
-        elif kind == "track" and key.startswith("boundary"):
+        elif kind == "track" and key.split()[:1] == ["boundary"]:
             parts = key.split()
             if len(parts) != 2:
                 raise ParseError("boundary lines read 'boundary NAME = word'",
@@ -261,8 +261,11 @@ _NOUNS = {"track": "a track", "map": "a map",
 
 def _atlas_entry(spec: str, kind: str, error=UnknownEntry, **where):
     """The value of the catalogue entry "atlas:NAME" names; `error` if its
-    kind is not `kind`."""
-    found, value = entry(spec[len("atlas:"):])
+    kind is not `kind`, or if no such entry exists."""
+    try:
+        found, value = entry(spec[len("atlas:"):])
+    except UnknownEntry as err:
+        raise error(str(err), **where) from None
     if found != kind:
         raise error(f"{spec!r} is not {_NOUNS[kind]}", **where)
     return value

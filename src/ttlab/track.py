@@ -341,40 +341,32 @@ class TrainTrack:
         """Coherent edge orientation (+1 means the edge flows i -> t).
 
         At every switch one whole side must arrive and the other depart.
-        Parity propagation over the edges; raises NotOrientable when the
-        constraints close an odd cycle.
+        One flip bit per label, set to 0 at the least label of each
+        component and walked along the switches: end (x, k) arrives iff
+        (k == "t") ^ flip[x].  Raises NotOrientable when two ends disagree.
         """
-        # parity(end) = 0 for t(x), 1 for i(x); within a side the value
-        # parity(end) + o(label) is constant, across sides it flips.
-        color: dict[str, int] = {}
-
-        def assign(label: str, val: int):
-            stack = [(label, val)]
-            while stack:
-                lab, v = stack.pop()
-                if lab in color:
-                    if color[lab] != v:
-                        raise NotOrientable("no coherent orientation")
-                    continue
-                color[lab] = v
-                for sw in self.switches:
-                    for side_idx, side in ((0, sw.side_a), (1, sw.side_b)):
-                        hit = [e for e in side if e[0] == lab]
-                        if not hit:
-                            continue
-                        base = next(e for e in hit)
-                        pb = 0 if base[1] == "t" else 1
-                        sv = (pb + v) % 2 ^ side_idx
-                        for other_side_idx, other in ((0, sw.side_a), (1, sw.side_b)):
-                            want = sv ^ other_side_idx
-                            for e2 in other:
-                                p2 = 0 if e2[1] == "t" else 1
-                                stack.append((e2[0], (want - p2) % 2))
-
-        for lab in sorted(self.edges):
-            if lab not in color:
-                assign(lab, 0)
-        return {lab: (1 if c == 0 else -1) for lab, c in color.items()}
+        flip: dict[str, bool] = {}
+        for root in sorted(self.edges):
+            if root in flip:
+                continue
+            flip[root] = False
+            todo = [root]
+            while todo:
+                lab = todo.pop()
+                for kind in "it":
+                    name, side, _ = self.end_site[(lab, kind)]
+                    sw = self.switches[self.switch_index[name]]
+                    arrives = (kind == "t") ^ flip[lab]
+                    for other, ends in (("A", sw.side_a), ("B", sw.side_b)):
+                        # ends on one side agree, the two sides differ
+                        for x, k in ends:
+                            want = (k == "t") ^ arrives ^ (other != side)
+                            if x not in flip:
+                                flip[x] = want
+                                todo.append(x)
+                            elif flip[x] != want:
+                                raise NotOrientable("no coherent orientation")
+        return {lab: -1 if flip[lab] else 1 for lab in self.edges}
 
     # ------------------------------------------------------------------
 

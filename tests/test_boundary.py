@@ -1,11 +1,17 @@
 """Boundary action and cusp-side dynamics of the atlas maps."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from ttlab.atlas import atlas, atlas_names, involution, phi, phi1, phi2, phi3, psi
 from ttlab.boundary import boundary_action, side_dynamics
-from ttlab.errors import NotASelfMap
-from ttlab.morphism import TrackMorphism
+from ttlab.certify import certify, render_text, to_json
+from ttlab.errors import AlignmentError, NotASelfMap
+from ttlab.morphism import TrackMorphism, identity_morphism
+from ttlab.search import SearchConfig, search_loops
+from ttlab.track import Switch, TrainTrack, end
 
 
 # Fold depths frozen from the certified runs; one entry per cusp side.
@@ -137,7 +143,6 @@ def test_involution_dynamics_degenerate():
 
 def test_identity_dynamics_degenerate():
     from ttlab.atlas import base_track
-    from ttlab.morphism import identity_morphism
     sd = side_dynamics(identity_morphism(base_track()))
     assert sd.degenerate
     assert sd.total_points == 0
@@ -158,3 +163,45 @@ def test_side_dynamics_accepts_precomputed_action():
     act = boundary_action(m)
     sd = side_dynamics(m, action=act)
     assert sd.total_points == 12
+
+
+def test_identity_on_a_cuspless_track_has_no_side_dynamics():
+    loop = TrainTrack("loop", ("a",),
+                      (Switch("v", (end("a", "i"),), (end("a", "t"),)),))
+    with pytest.raises(AlignmentError,
+                       match="^curve 0 has no cusps; side dynamics is undefined$"):
+        side_dynamics(identity_morphism(loop))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cusp_images", (0, 2, 1, 3, 4, 5),
+     "side 0 of curve 0 maps over more than one side"),
+    ("fold_depths", (0, 2, 0, 1, 1, 1),
+     "side (0, 0): image does not decompose over side (0, 2)"),
+])
+def test_side_dynamics_rejects_an_action_that_does_not_fit(field, value, message):
+    m = phi1()
+    act = boundary_action(m)
+    bent = replace(act, curves=(replace(act.curves[0], **{field: value}),
+                                *act.curves[1:]))
+    with pytest.raises(AlignmentError) as err:
+        side_dynamics(m, bent)
+    assert str(err.value) == message
+
+
+# SHA-256 of to_json + render_text over the corpus below, in order
+CORPUS_SHA256 = "d51bdfbf6b731764bda890562bcc154f8bdc4a6f41f18373e5385ac6787985bd"
+
+
+def test_certificate_corpus_digest():
+    maps = [atlas(name) for name in ("phi1", "phi2", "phi3", "beta")]
+    maps += [phi(n) for n in range(1, 22, 2)] + [psi(n) for n in range(11)]
+    found = search_loops(atlas("tau_prime"),
+                         SearchConfig(max_depth=4, certify=False))
+    maps += [m for loop in found for m in loop.self_maps]
+    assert len(maps) == 186
+    digest = hashlib.sha256()
+    for m in maps:
+        cert = certify(m)
+        digest.update((to_json(cert) + render_text(cert)).encode())
+    assert digest.hexdigest() == CORPUS_SHA256

@@ -364,6 +364,26 @@ def test_exit_code_two_for_bad_input(capsys, tmp_path):
         assert "line 1: map 'bad': image of 'a' uses unknown edge 'zz'" in err
 
 
+LOOP = "[track loop]\nedges = a\n\n[switch v]\nside_a = i(a)\nside_b = t(a)\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("track", "validate"),
+     LOOP.replace("edges = a\n", "edges = a\nboundaryzz outer = a b\n"),
+     "line 3: unknown track key 'boundaryzz outer'"),
+    (("map", "check"), "[map m]\nsource = atlas:nope\ntarget = atlas:tau\n",
+     "line 2: no atlas entry named 'nope'"),
+    (("map", "check"), "[map m]\nsource = atlas:tau\ntarget = atlas:phi:x\n",
+     "line 3: bad parameter in atlas name 'phi:x'"),
+    (("map", "check"), "[map m]\nsource = atlas:phi:20003\ntarget = atlas:tau\n",
+     "line 2: atlas indices stop at 10001, not 20003"),
+])
+def test_bad_document_line_is_bad_input(capsys, tmp_path, argv, text, message):
+    f = tmp_path / "bad.tt"
+    f.write_text(text)
+    assert run(capsys, *argv, str(f)) == (2, "", f"error: {message}\n")
+
+
 def test_disconnected_track_is_invalid(capsys, tmp_path):
     f = tmp_path / "circles.tt"
     f.write_text(TWO_CIRCLES)

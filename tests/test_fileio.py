@@ -247,6 +247,8 @@ def _edit(old: str, new: str) -> str:
     (_edit("edges = a b", "edges = a b\nboundary = a -a"),
      3, "boundary lines read 'boundary NAME = word'"),
     (_edit("edges = a b", "edges = a b\nedge = a b"), 3, "unknown track key 'edge'"),
+    (_edit("edges = a b", "edges = a b\nboundaryzz outer = a b"),
+     3, "unknown track key 'boundaryzz outer'"),
     (_edit("side_a = i(b)", "side_a = i(b)\nside_c = i(b)"),
      8, "unknown switch key 'side_c'"),
     (_edit("a = b\n", "a = b\na = a\n"), 13, "duplicate map key 'a'"),
@@ -260,6 +262,12 @@ def _edit(old: str, new: str) -> str:
     (_edit("source = circles", "source = missing"), 10, "unknown track 'missing'"),
     (_edit("target = circles", "target = atlas:phi1"),
      11, "'atlas:phi1' is not a track"),
+    (_edit("source = circles", "source = atlas:nope"),
+     10, "no atlas entry named 'nope'"),
+    (_edit("target = circles", "target = atlas:phi:x"),
+     11, "bad parameter in atlas name 'phi:x'"),
+    (_edit("source = circles", "source = atlas:phi:20003"),
+     10, "atlas indices stop at 10001, not 20003"),
     (_edit("b = a\n", ""), 9, "map 'm': images must cover the source edges exactly; "
      "got ['a'], want ['a', 'b']"),
     (_edit("a = b\n", "a = b !\n"), 12, "col 3: bad letter token '!'"),

@@ -1,5 +1,7 @@
 """Track structure: switches, ribbon boundaries, Euler data, isomorphism."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +287,38 @@ def test_walk_matches_backtracking_on_small_tracks(pair):
     src, dst = pair
     for a, b in ((src, dst), (dst, src), (src, src)):
         _assert_walk_matches_reference(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(track=st.integers(1, 5).flatmap(small_tracks))
+def test_each_signed_letter_once_across_boundaries_of_small_tracks(track):
+    # every end departs exactly once along the boundary curves
+    letters = [lt for c in track.boundary_curves for lt in c.word]
+    assert sorted(letters) == sorted(
+        (lab, s) for lab in track.edges for s in (1, -1))
+
+
+def _coherent(track, orient):
+    """Whether one side of every switch arrives and the other departs."""
+    for sw in track.switches:
+        arrives = [{(k == "t") == (orient[x] > 0) for x, k in side}
+                   for side in (sw.side_a, sw.side_b)]
+        if len(arrives[0]) != 1 or len(arrives[1]) != 1 or arrives[0] == arrives[1]:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(track=st.integers(1, 5).flatmap(small_tracks))
+def test_orientation_matches_brute_force(track):
+    coherent = [o for o in (dict(zip(track.edges, signs)) for signs in
+                            product((1, -1), repeat=len(track.edges)))
+                if _coherent(track, o)]
+    if not coherent:
+        with pytest.raises(NotOrientable):
+            track.orientation()
+    else:
+        assert track.orientation() in coherent
 
 
 def test_canonical_key_is_label_sensitive_but_name_blind():
