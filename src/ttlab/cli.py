@@ -499,26 +499,34 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The command tree; if argv starts with a group and one of its commands,
+    only that group's commands, and only that command's arguments."""
+    named = tuple(argv[:2])
+    if named not in {(g, c[0]) for g, _, cs in _COMMANDS for c in cs}:
+        named = None
     parser = argparse.ArgumentParser(
         prog="ttlab",
         description="train track calculus: tracks, splittings, certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for group, about, commands in _COMMANDS:
-        gsub = sub.add_parser(group, help=about).add_subparsers(
-            dest="subcommand", required=True)
+        gp = sub.add_parser(group, help=about)
+        if named and named[0] != group:
+            continue
+        gsub = gp.add_subparsers(dest="subcommand", required=True)
         for name, fn, arguments in commands:
             p = gsub.add_parser(name)
-            for flag, keywords in arguments.items():
-                p.add_argument(flag, **keywords)
+            if named in (None, (group, name)):
+                for flag, keywords in arguments.items():
+                    p.add_argument(flag, **keywords)
             p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UnknownEntry, BadIndex, OSError) as err:

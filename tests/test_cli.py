@@ -1,6 +1,8 @@
 """Command line round trips, exit codes, and JSON determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from ttlab.atlas import (
     s1_moves,
     twisted_track,
 )
-from ttlab.cli import main
+from ttlab.cli import _COMMANDS, build_parser, main
 from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
 from ttlab.incidence import PerronData
 from ttlab.morphism import compose
@@ -448,3 +450,56 @@ def test_import_needs_only_the_standard_library():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _parse_outcome(parse, argv):
+    """(stdout, stderr, exit code) of a parse that exits, as argparse does on
+    a help page or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+_HELP_PAGES = [["-h"]] + [[group, "-h"] for group, _, _ in _COMMANDS] + [
+    [group, name, "-h"] for group, _, commands in _COMMANDS
+    for name, _, _ in commands]
+
+
+@pytest.mark.parametrize("argv", _HELP_PAGES + [
+    ["nope", "certify", "atlas:phi2"],
+    ["map", "nope", "atlas:phi2"],
+    ["map"],
+    ["map", "certify"],
+    ["seq", "apply", "atlas:tau_initial"],
+    ["map", "certify", "atlas:phi2", "--tol", "abc"],
+    ["map", "certify", "atlas:phi2", "--expect", "bogus"],
+    ["search", "loops", "atlas:tau", "--depth"],
+], ids=" ".join)
+def test_lean_parser_matches_the_full_tree(argv):
+    # main builds arguments for the named command alone; every help page and
+    # usage error must read as the full tree's, byte for byte
+    want = _parse_outcome(lambda a: build_parser().parse_args(a), argv)
+    assert _parse_outcome(main, argv) == want
+
+
+def test_main_builds_arguments_for_the_named_command_only(capsys,
+                                                         monkeypatch):
+    import ttlab.cli
+
+    seen = []
+
+    def spy(argv=()):
+        seen.append(tuple(argv))
+        return build_parser(argv)
+
+    monkeypatch.setattr(ttlab.cli, "build_parser", spy)
+    assert main(["map", "check", "atlas:phi2"]) == 0
+    assert main(["atlas", "list"]) == 0
+    assert seen == [("map", "check", "atlas:phi2"), ("atlas", "list")]
+    # the other commands of the group are there, without their arguments
+    lean = build_parser(["map", "check"])
+    with pytest.raises(SystemExit):
+        lean.parse_args(["map", "certify", "atlas:phi2"])
+    assert "unrecognized arguments: atlas:phi2" in capsys.readouterr().err

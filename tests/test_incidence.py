@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -277,8 +278,8 @@ def _irreducible_matrices(draw):
     tie-heavy kinds keep several quotients exactly equal at every step:
     equal row sums make all of them equal at once, and a matrix invariant
     under swapping node pairs keeps each pair's quotients equal."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    top = draw(st.sampled_from([2, 10**4]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    top = draw(st.sampled_from([2, 10**4, 10**12]))
     kind = draw(st.sampled_from(["plain", "equal-row-sums", "swap-symmetric"]))
     cells = draw(st.lists(st.integers(min_value=0, max_value=top),
                           min_size=n * n, max_size=n * n))
@@ -317,6 +318,139 @@ def test_dilatation_matches_fraction_reference(data, tol, budget):
         mp.setattr(incidence, "MAX_ITERATIONS", budget)
         got = _outcome(dilatation, mat, tol)
     assert got == _outcome(_fraction_dilatation, mat, tol, budget)
+
+
+def _last_open_index(a, tol, budget):
+    """The last k < budget whose step k + 1 does not stop, walked exactly:
+    the start every search of `a` must end on (-1 if step 1 stops)."""
+    v = [1] * len(a)
+    for k in range(budget):
+        quots = [Fraction(sum(map(mul, row, v)), x) for row, x in zip(a, v)]
+        if max(quots) - min(quots) < Fraction(tol):
+            return k - 1
+        v = [sum(map(mul, row, v)) for row in a]
+    return budget - 1
+
+
+_STARTS = {
+    "zero": lambda k: 0,
+    "far below": lambda k: k // 3,
+    "true": lambda k: k,
+    "just above": lambda k: k + 1,
+    "far above": lambda k: k + 50,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_irreducible_matrices(),
+       tol=st.sampled_from([0.5, 1e-3, 1e-10, 1e-30]),
+       budget=st.sampled_from([1, 2, 3, 7, 300]),
+       where=st.sampled_from(sorted(_STARTS) + ["exception"]))
+def test_any_located_start_gives_the_reference(data, tol, budget, where):
+    # the float search only proposes where the exact one starts: from a
+    # start at, below or above the true step, or none at all, the bracket,
+    # iterations, weights and NoConvergence text are the reference's
+    def located(rows, tol, times):
+        if where == "exception":
+            raise ZeroDivisionError("forced")
+        a = [[dict(row).get(j, 0) for j in range(len(rows))] for row in rows]
+        return max(0, _STARTS[where](_last_open_index(a, tol, budget)))
+
+    labels = tuple(f"e{i}" for i in range(len(data)))
+    mat = IncidenceMatrix(labels, labels, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "MAX_ITERATIONS", budget)
+        mp.setattr(incidence, "_located_start", located)
+        got = _outcome(dilatation, mat, tol)
+    assert got == _outcome(_fraction_dilatation, mat, tol, budget)
+
+
+def _squarings_and_steps(data, budget):
+    """The exact squarings dilatation makes at tol 1e-30, and the larger of
+    the stopping steps of M and its transpose (budget + 1 if it does not
+    converge).  The float search squares through mat_mult too, uncounted."""
+    labels = tuple(f"e{i}" for i in range(len(data)))
+    squarings = 0
+
+    def counting(a, b):
+        nonlocal squarings
+        squarings += isinstance(a[0][0], int)
+        return mat_mult(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "MAX_ITERATIONS", budget)
+        steps = []
+        for a in (data, tuple(zip(*data))):
+            got = _outcome(dilatation, IncidenceMatrix(labels, labels, a),
+                           1e-30)
+            steps.append(budget + 1 if isinstance(got, str)
+                         else got.iterations)
+        mp.setattr(incidence, "mat_mult", counting)
+        _outcome(dilatation, IncidenceMatrix(labels, labels, data), 1e-30)
+    return squarings, max(steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_irreducible_matrices())
+def test_no_square_past_the_stopping_step_at_tol_1e_30(data):
+    # at 1e-30 doubles see only noise, which can stop their search far past
+    # the true step (293 for one 3x3 matrix that stops at 31); computing such
+    # a start exactly squares far past what either direction's search needs
+    squarings, steps = _squarings_and_steps(data, 300)
+    assert squarings <= steps.bit_length() + 1
+
+
+@pytest.mark.parametrize("build", [phi2, lambda: phi(7), lambda: phi(161),
+                                   lambda: psi(3), lambda: psi(40)])
+def test_atlas_squarings_at_tol_1e_30(build):
+    data = incidence_matrix(build()).data
+    squarings, steps = _squarings_and_steps(data, incidence.MAX_ITERATIONS)
+    assert squarings <= steps.bit_length() + 1
+
+
+def _boolean_power_reference(data):
+    """primitive, exponent and bound by explicit boolean matrix powers."""
+    n = len(data)
+    bound = (n - 1) * (n - 1) + 1 if n > 1 else 1
+    base = [[x > 0 for x in row] for row in data]
+    cur = base
+    for k in range(1, bound + 1):
+        if all(all(row) for row in cur):
+            return True, k, bound
+        cur = [[any(cur[i][t] and base[t][j] for t in range(n))
+                for j in range(n)] for i in range(n)]
+    return False, None, bound
+
+
+@st.composite
+def _boolean_pattern_matrices(draw):
+    """Random matrices, periodic ones (every edge steps from class c to class
+    c + 1 of a partition), and permutation matrices."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["plain", "periodic", "permutation"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return tuple(tuple(int(j == perm[i]) for j in range(n))
+                     for i in range(n))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=2),
+                          min_size=n * n, max_size=n * n))
+    a = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if kind == "periodic":
+        period = draw(st.integers(min_value=1, max_value=n))
+        cls = draw(st.lists(st.integers(min_value=0, max_value=period - 1),
+                            min_size=n, max_size=n))
+        a = [[x if cls[j] == (cls[i] + 1) % period else 0
+              for j, x in enumerate(row)] for i, row in enumerate(a)]
+    return tuple(tuple(row) for row in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_boolean_pattern_matrices())
+def test_primitivity_matches_boolean_powers(data):
+    labels = tuple(f"e{i}" for i in range(len(data)))
+    rep = primitivity(IncidenceMatrix(labels, labels, data))
+    assert (rep.primitive, rep.exponent, rep.bound) == \
+        _boolean_power_reference(data)
 
 
 @st.composite
