@@ -97,7 +97,7 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
 
     warnings: list[str] = []
     mat = incidence_matrix(m)
-    fixed = fixed_edge_points(m, mat)
+    fixed = fixed_edge_points(m)
     irr = irreducibility(mat)
 
     prim: PrimitivityReport | None = None
@@ -106,7 +106,7 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
         prim = primitivity(mat)
         if prim.primitive:
             try:
-                perron = dilatation(mat, tol=tol, report=irr)
+                perron = dilatation(mat, tol=tol)
             except NoConvergence as exc:
                 warnings.append(f"dilatation: {exc}")
         else:
@@ -141,13 +141,15 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
     else:
         verdict = VERDICT_INCONCLUSIVE
 
-    fpf = None
     if sides is not None:
         fpf = (
             not fixed
             and all(o.period >= 2 for o in sides.orbits)
             and not sides.degenerate
         )
+    else:
+        fpf = None
+    if sides is not None:
         warnings.extend(w for w in sides.warnings if w not in warnings)
     elif action is not None:
         warnings.extend(w for w in action.warnings if w not in warnings)
@@ -271,45 +273,57 @@ def to_json_dict(cert: Certificate) -> dict:
         "warnings": list(cert.warnings),
     }
     d["primitive"] = cert.primitivity.primitive if cert.primitivity else None
-    d["primitivityExponent"] = cert.primitivity.exponent if cert.primitivity else None
-    d["dilatation"] = {
-        "value": cert.perron.value,
-        "lower": _fraction_str(cert.perron.lower),
-        "upper": _fraction_str(cert.perron.upper),
-        "iterations": cert.perron.iterations,
-        "weights": list(cert.perron.weights),
-    } if cert.perron else None
-    d["boundary"] = [
-        {
-            "source": ci.source_index,
-            "target": ci.target_index,
-            "rotation": ci.rotation,
-            "cuspImages": list(ci.cusp_images),
-            "cuspShift": ci.cusp_shift,
-            "foldDepths": list(ci.fold_depths),
+    d["primitivityExponent"] = (
+        cert.primitivity.exponent if cert.primitivity else None
+    )
+    if cert.perron:
+        d["dilatation"] = {
+            "value": cert.perron.value,
+            "lower": _fraction_str(cert.perron.lower),
+            "upper": _fraction_str(cert.perron.upper),
+            "iterations": cert.perron.iterations,
+            "weights": list(cert.perron.weights),
         }
-        for ci in cert.boundary.curves
-    ] if cert.boundary else None
-    d["sideOrbits"] = [
-        {
-            "sides": [list(s) for s in o.sides],
-            "period": o.period,
-            "offsets": list(o.bracket_offsets),
-            "counts": list(o.counts),
-            "points": [
-                {
-                    "side": [pt.curve, pt.side],
-                    "letter": pt.letter,
-                    "label": pt.label,
-                    "letters": list(pt.marked_labels),
-                    "rendered": pt.rendered,
-                }
-                for pt in o.points
-            ],
-        }
-        for o in cert.sides.orbits
-    ] if cert.sides else None
-    d["boundaryPeriodicPoints"] = cert.sides.total_points if cert.sides else None
+    else:
+        d["dilatation"] = None
+    if cert.boundary:
+        d["boundary"] = [
+            {
+                "source": ci.source_index,
+                "target": ci.target_index,
+                "rotation": ci.rotation,
+                "cuspImages": list(ci.cusp_images),
+                "cuspShift": ci.cusp_shift,
+                "foldDepths": list(ci.fold_depths),
+            }
+            for ci in cert.boundary.curves
+        ]
+    else:
+        d["boundary"] = None
+    if cert.sides:
+        d["sideOrbits"] = [
+            {
+                "sides": [list(s) for s in o.sides],
+                "period": o.period,
+                "offsets": list(o.bracket_offsets),
+                "counts": list(o.counts),
+                "points": [
+                    {
+                        "side": [pt.curve, pt.side],
+                        "letter": pt.letter,
+                        "label": pt.label,
+                        "letters": list(pt.marked_labels),
+                        "rendered": pt.rendered,
+                    }
+                    for pt in o.points
+                ],
+            }
+            for o in cert.sides.orbits
+        ]
+        d["boundaryPeriodicPoints"] = cert.sides.total_points
+    else:
+        d["sideOrbits"] = None
+        d["boundaryPeriodicPoints"] = None
     return d
 
 

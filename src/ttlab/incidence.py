@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import isfinite
-from functools import partial, reduce
 from operator import mul, or_
 
 from .errors import BadIndex, NoConvergence, NotIrreducible, NotPrimitive
@@ -81,12 +81,11 @@ def mat_mult(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def fixed_edge_points(m: TrackMorphism, mat: IncidenceMatrix | None = None
-                      ) -> tuple[tuple[str, int], ...]:
+def fixed_edge_points(m: TrackMorphism) -> tuple[tuple[str, int], ...]:
     """Edges whose image runs over themselves; each such edge pins at least
     one fixed point of the map, so an empty result is what a fixed point
-    free certificate needs.  `mat` is m's incidence matrix, if at hand."""
-    mat = mat or incidence_matrix(m)
+    free certificate needs."""
+    mat = incidence_matrix(m)
     if not mat.is_square:
         return ()
     diag = mat.diagonal()
@@ -235,77 +234,31 @@ def _cw_bounds(rows: list[list[tuple[int, int]]],
 MAX_ITERATIONS = 20_000
 
 
-def _unit(m) -> tuple:
-    """m as floats scaled to a largest entry of 1."""
-    top = max(map(max, m))
-    return tuple(tuple(x / top for x in row) for row in m)
-
-
-def _ladder(a: Matrix, scale=lambda m: m):
-    """times(i, v, t) = `scale`(A^(2^i) v), A = `a` or its transpose if t.
-    A square used once is not built: A^(2^(i-1)) is applied twice."""
+def _ladder(a: Matrix):
+    """times(i, v, t) = A^(2^i) v, A = `a` or its transpose if t.  A square
+    used once is not built: A^(2^(i-1)) is applied twice."""
     squares = [a]
 
-    def times(i: int, v: list, t: bool) -> list:
+    def times(i: int, v: list[int], t: bool) -> list[int]:
         while len(squares) < i:
-            squares.append(scale(mat_mult(squares[-1], squares[-1])))
+            squares.append(mat_mult(squares[-1], squares[-1]))
         for m in squares[i:i + 1] or squares[-1:] * 2:
             v = [sum(map(mul, row, v)) for row in (zip(*m) if t else m)]
-        return scale([v])[0]
+        return v
 
     return times
 
 
-def _gallop(times, narrow, v: list, k: int) -> tuple[list, int]:
-    """(v_(j+1), j), j the last index >= k - 1 whose step j + 1 does not stop
-    (none past MAX_ITERATIONS), galloping up from v_k and bisecting back."""
-    if narrow(v):
-        return v, k - 1
-
-    def advance(v, k, i):
-        if k + (1 << i) < MAX_ITERATIONS and not narrow(w := times(i, v)):
-            return w
-
-    top = 0
-    while (w := advance(v, k, top)) is not None:  # gallop
-        v, k, top = w, k + (1 << top), top + 1
-    for i in reversed(range(top)):  # bisect below k + 2^top
-        if (w := advance(v, k, i)) is not None:
-            v, k = w, k + (1 << i)
-    return times(0, v), k
-
-
-def _located_start(rows: list, tol: float, times) -> int:
-    """Four steps before where the search stops on doubles, or 0 (step 4 or
-    less, MAX_ITERATIONS); zeros, or tol below noise, raise ArithmeticError."""
-
-    def narrow(u: list[float]) -> bool:
-        (ln, ld), (hn, hd) = _cw_bounds(rows, u)
-        if tol < ln / ld * 2.0 ** -40:  # noise: the lower quotient <= the root
-            raise ArithmeticError("doubles cannot resolve tol")
-        return hn / hd - ln / ld < tol
-
-    _, k = _gallop(times, narrow, [1.0] * len(rows), 0)
-    return k - 2 if 2 < k < MAX_ITERATIONS - 1 else 0
-
-
-def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
-               report: IrreducibilityReport | None = None) -> PerronData:
+def dilatation(mat: IncidenceMatrix, tol: float = 1e-10) -> PerronData:
     """Certified Perron root of an irreducible incidence matrix.
 
     Step k brackets the root by the Collatz-Wielandt quotients of
     M^(k-1) 1; `iterations` is the first step, at most MAX_ITERATIONS,
     whose bracket is narrower than `tol`.  A Perron root of 0 raises
-    NotPrimitive.  `report` is mat's irreducibility, if at hand.
-
-    Floats propose a start four steps before where the same search stops on
-    doubles, on powers of M scaled to a largest entry of 1.  Integers decide:
-    the exact search starts there if that step does not stop, else at step
-    0, as when the floats reach MAX_ITERATIONS, meet a zero float or cannot
-    resolve `tol`.  The bracket is monotone: any start ends on one step.
+    NotPrimitive.
     """
     check_tolerance(tol)
-    rep = report or irreducibility(mat)
+    rep = irreducibility(mat)
     if not rep.irreducible:
         raise NotIrreducible(
             "dilatation bracket needs an irreducible matrix",
@@ -316,13 +269,12 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
         # irreducible with a zero row: the 1x1 zero matrix
         raise NotPrimitive("Perron root is 0")
     tn, td = Fraction(tol).as_integer_ratio()  # binary floats are exact
-    exact, floats = _ladder(a), _ladder(_unit(a), _unit)  # both directions
+    times = _ladder(a)  # the powers M^(2^i), shared by both directions
 
     def bracket(t: bool) -> tuple[Fraction, Fraction, list[int], int]:
         """The bracket of M, or of its transpose when `t`."""
         rows = [[(j, x) for j, x in enumerate(row) if x]
                 for row in (zip(*a) if t else a)]
-        times = partial(exact, t=t)
 
         def narrow(v: list[int]) -> bool:
             # hi - lo < tol, over the common denominator hd * ld * td; lo > 0
@@ -330,18 +282,25 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10,
             (ln, ld), (hn, hd) = _cw_bounds(rows, v)
             return (hn * ld - ln * hd) * td < tn * hd * ld
 
-        try:
-            k0 = _located_start(rows, tol, partial(floats, t=t))
-        except ArithmeticError:
-            k0 = 0
-        v = [1] * len(rows)  # v_k0 = M^k0 1, high bits first
-        for i in reversed(range(k0.bit_length())):
-            v = times(i, v) if k0 >> i & 1 else v
-        # k: the last index whose step k + 1 does not stop (-1: none); v is
-        # v_(k+1), bracketed by step k + 2, the first that stops
-        v, k = _gallop(times, narrow, v, k0)
-        if k0 > k:  # the start stops: search again from step 0
-            v, k = _gallop(times, narrow, [1] * len(rows), 0)
+        def advance(v: list[int], k: int, i: int) -> list[int] | None:
+            """v_k advanced 2^i steps, or None if the step on the result
+            stops; every step past `MAX_ITERATIONS` counts as stopping."""
+            if k + (1 << i) >= MAX_ITERATIONS:
+                return None
+            w = times(i, v, t)
+            return None if narrow(w) else w
+
+        # v = v_k = M^k 1, bracketed by step k + 1; k ends as the last index
+        # whose step does not stop (-1: none), so step k + 2 stops
+        v, k = [1] * len(rows), -1
+        if not narrow(v):
+            k, top = 0, 0
+            while (w := advance(v, k, top)) is not None:  # gallop
+                v, k, top = w, k + (1 << top), top + 1
+            for i in reversed(range(top)):  # bisect below k + 2^top
+                if (w := advance(v, k, i)) is not None:
+                    v, k = w, k + (1 << i)
+            v = times(0, v, t)
         if k + 1 >= MAX_ITERATIONS:
             raise NoConvergence(
                 f"dilatation bracket did not reach tol={tol} "
