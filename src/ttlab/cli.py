@@ -4,9 +4,9 @@ Anywhere a SPEC is expected it may be a file path, "FILE#NAME" to pick one
 entry out of a multi-entry file, or "atlas:NAME" for a catalogue entry.
 
 Exit codes: 0 success, 1 semantic failure (invalid track, failed check,
-verdict mismatch, search budget exceeded), 2 usage or input errors (bad
-syntax, unknown entry, unreadable file, a tolerance that is not finite and
-positive, a search depth out of range).
+search budget exceeded), 2 usage or input errors (bad syntax, unknown
+entry, unreadable file, a tolerance that is not finite and positive, a
+search depth out of range), 3 a verdict that disagrees with `--expect`.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def cmd_map_certify(args) -> int:
     if args.expect and cert.verdict != args.expect:
         print(f"expected verdict {args.expect!r}, got {cert.verdict!r}",
               file=sys.stderr)
-        return 1
+        return 3
     return 0
 
 

@@ -12,13 +12,13 @@ names and order, so the switch tuple a split returns keys the structure.
 Expansions split the bare switches and their end sites, after weighing each
 move by its side sizes, once per pair of sizes it changes; a TrainTrack is
 built and validated only for an isomorphism test, and ends every loop that
-closes on it.  Sorted, loops sharing a prefix are neighbours, so their runs
-are built along that prefix tree, each shared prefix split once, and each
-closure's self map renames the letters of its run's composite.  Within one
-search, closures with the same final track and edge images get the same
-certificate up to the map name, so each such pair is certified once: the
-depth-4 census from tau_prime certifies 22 pairs for its 160 closures, and
-depth 6 certifies 122 for 1,024.
+closes on it.  Each suffix found carries that track and its isomorphisms,
+so a loop is packaged without splitting again: its composite depends on
+its moves alone, and each closure's self map renames the letters of that
+composite.  Within one search, closures with the same final track and edge
+images get the same certificate up to the map name, so each such pair is
+certified once: the depth-4 census from tau_prime certifies 22 pairs for
+its 160 closures, and depth 6 certifies 122 for 1,024.
 """
 
 from __future__ import annotations
@@ -33,17 +33,18 @@ from .morphism import TrackMorphism
 from .splitting import (
     SplitMove,
     SplitRun,
-    _branch,
     _finish,
     _Layout,
     _moves_at,
     _split,
-    _start,
     apply_sequence,
     format_sequence,
 )
 from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
 
+
+# where a closing suffix ends: the track and the isomorphisms from the seed
+_Closure = tuple[TrainTrack, tuple[TrackIso, ...]]
 
 # Deepest search accepted.  Each level multiplies the tracks to expand
 # (about 3.3x from depth 6 to 7), so no exhaustive search gets near it, and
@@ -138,8 +139,9 @@ class _LoopSearch:
     A suffix of a track is a sequence of 1 up to the remaining depth moves
     that ends on a track isomorphic to the seed.  `memo[r]` maps the
     switches of a track met with r >= 1 moves left to its suffixes, plus
-    the empty one when the track itself closes.  Leaves (no move left) get
-    no entry.
+    the empty one when the track itself closes, each paired with the
+    `closes` entry of the track it ends on.  Leaves (no move left) get no
+    entry.
     A move changes at most two side sizes, so a child with more than 2r
     sizes the seed lacks cannot close in the r moves left after it; each
     move is weighed without splitting (_weighed), and such a move is not
@@ -156,7 +158,7 @@ class _LoopSearch:
         self.nodes = 0
         self.memo: list[dict[tuple[Switch, ...], tuple]] = [
             {} for _ in range(cfg.max_depth)]
-        self.closes: dict[tuple[Switch, ...], tuple] = {}  # (track, isos)
+        self.closes: dict[tuple[Switch, ...], _Closure] = {}
 
     def _expand(self) -> None:
         """Count one expansion against the budget."""
@@ -165,12 +167,12 @@ class _LoopSearch:
             raise ResourceLimit(
                 f"search expanded more than {self.max_nodes} tracks")
 
-    def _closes(self, switches: tuple[Switch, ...]) -> tuple[TrackIso, ...]:
-        """The isomorphisms from the seed onto the track on `switches`."""
+    def _closes(self, switches: tuple[Switch, ...]) -> _Closure:
+        """The track on `switches` and the seed's isomorphisms onto it."""
         if switches not in self.closes:
             track = TrainTrack(self.seed.name, self.seed.edges, switches)
             self.closes[switches] = track, isomorphisms(self.seed, track)
-        return self.closes[switches][1]
+        return self.closes[switches]
 
     def _weighed(self, track: TrainTrack | _Layout):
         """Each legal move on `track` as (slid, over, lacking): how many
@@ -204,9 +206,10 @@ class _LoopSearch:
                         k for k in child.values() if k > 0)
                 yield slid, over, lacking
 
-    def suffixes(self, track: TrainTrack | _Layout,
-                 depth: int) -> tuple[tuple[SplitMove, ...], ...]:
-        """The closing suffixes of `track`, with `depth` >= 1 moves left."""
+    def suffixes(self, track: TrainTrack | _Layout, depth: int
+                 ) -> tuple[tuple[tuple[SplitMove, ...], _Closure], ...]:
+        """The closing suffixes of `track`, with `depth` >= 1 moves left,
+        each with the `closes` entry of the track it ends on."""
         found = []
         left = depth - 1
         memo = self.memo[left]
@@ -218,8 +221,8 @@ class _LoopSearch:
             if not left:
                 if switches not in self.closes:
                     self._expand()  # a leaf isomorphism check
-                if self._closes(switches):
-                    found.append((mv,))
+                if (closure := self._closes(switches))[1]:
+                    found.append(((mv,), closure))
                 continue
             tail = memo.get(switches)
             if tail is None:
@@ -227,10 +230,10 @@ class _LoopSearch:
                 child = _Layout(track)
                 child.split(switches, shifted)
                 tail = self.suffixes(child, left)
-                if not lacking and self._closes(switches):
-                    tail = ((),) + tail
+                if not lacking and (closure := self._closes(switches))[1]:
+                    tail = (((), closure),) + tail
                 memo[switches] = tail
-            found.extend((mv,) + s for s in tail)
+            found.extend(((mv,) + s, closure) for s, closure in tail)
         # most tracks close nothing; tuple() of an empty list is the one
         # shared empty tuple, so those memo entries cost no value object
         return tuple(found)
@@ -253,27 +256,16 @@ def search_loops(seed: TrainTrack,
     if cfg.max_nodes < 1:
         raise BadIndex("search node budget must be at least 1, "
                        f"got {cfg.max_nodes}")
-    search = _LoopSearch(seed, cfg)
-    found = search.suffixes(seed, cfg.max_depth) if cfg.max_depth else ()
+    # packaging needs only the suffixes, so the memo is freed before it
+    found = (_LoopSearch(seed, cfg).suffixes(seed, cfg.max_depth)
+             if cfg.max_depth else ())
     results: list[LoopResult] = []
     certified: dict[tuple, Certificate] = {}
-    # sorted, loops sharing a prefix are neighbours: states[k] is the run
-    # after the first k moves of the last loop, so each prefix splits once
-    states, last = [_start(seed)], ()
-    for moves in sorted(found, key=lambda s: tuple(str(m) for m in s)):
-        k = 0
-        while k < min(len(last), len(moves)) and last[k] == moves[k]:
-            k += 1
-        del states[k + 1:]
-        for mv in moves[k:]:
-            states.append(_branch(*states[-1], mv))
-        layout, images = states[-1]
-        final, isos = search.closes[layout.switches]
-        packed = _package(_finish(seed, final, moves, images), isos, cfg,
-                          certified)
+    for moves, (final, isos) in sorted(
+            found, key=lambda f: tuple(str(m) for m in f[0])):
+        packed = _package(_finish(seed, final, moves), isos, cfg, certified)
         if packed is not None:
             results.append(packed)
-        last = moves
     return tuple(results)
 
 

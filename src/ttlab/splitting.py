@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
-from .track import (End, Switch, TrainTrack, flip_end, format_end,
-                    letter_from_departure, parse_end)
-from .words import Word, free_reduce, inv_letter, inverse
+from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
+from .words import Letter, Word, free_reduce, inverse
 
 
 @dataclass(frozen=True)
@@ -181,18 +181,6 @@ def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
                          for slid, over in _moves_at(sw)), key=str))
 
 
-def _slid_image(move: SplitMove) -> Word:
-    """The image of the slid edge under the move's morphism."""
-    x, r = move.slid[0], letter_from_departure(move.over)
-    return ((x, 1), r) if move.slid[1] == "t" else (inv_letter(r), (x, 1))
-
-
-def _split_images(track: TrainTrack, move: SplitMove) -> dict[str, Word]:
-    images: dict[str, Word] = {lab: ((lab, 1),) for lab in track.edges}
-    images[move.slid[0]] = _slid_image(move)
-    return images
-
-
 def _moved(track, e: End, dest: str, side: str,
            at: int) -> tuple[tuple[Switch, ...], _Runs]:
     """The switches of `track` with end `e` moved to index `at` of side
@@ -250,10 +238,32 @@ def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
     return _split(track, move)[0]
 
 
+@lru_cache(maxsize=64)
+def _letters(edges: tuple[str, ...]) -> tuple[Letter, ...]:
+    """Each edge's positive letter, shared by every run on `edges`."""
+    return tuple((lab, 1) for lab in edges)
+
+
+def _images(edges: tuple[str, ...], moves) -> dict[str, Word]:
+    """The edge images of the morphism of a run of legal `moves`.  A move
+    turns the slid edge's image x into x r or r^-1 x: it gains the letters
+    of r's image at its end, or of r^-1's at its start, so a run copies
+    each letter of its result once; the seams are reduced at the end."""
+    images = {lt[0]: deque((lt,)) for lt in _letters(tuple(edges))}
+    for (x, kind), (y, over) in ((mv.slid, mv.over) for mv in moves):
+        ride = images[y]  # the image of r when r = y (over i(y)), else of r^-1
+        if kind == "t":
+            images[x].extend(ride if over == "i" else inverse(ride))
+        else:  # extendleft puts each letter before the last: feed them last first
+            images[x].extendleft(reversed(ride) if over == "t"
+                                 else ((lab, -s) for lab, s in ride))
+    return {lab: free_reduce(w) for lab, w in images.items()}
+
+
 def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
     """Perform one move; returns (new track, morphism new -> old)."""
     new_track = TrainTrack(track.name, track.edges, split_switches(track, move))
-    morphism = TrackMorphism(new_track, track, _split_images(track, move),
+    morphism = TrackMorphism(new_track, track, _images(track.edges, (move,)),
                              name=str(move))
     return new_track, morphism
 
@@ -288,7 +298,7 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
         raise IllegalMove(f"unsplit {move} is ambiguous", move=move,
                           reason="ambiguous")
     cand = survivors[0]
-    return cand, TrackMorphism(track, cand, _split_images(cand, move),
+    return cand, TrackMorphism(track, cand, _images(track.edges, (move,)),
                                name=str(move))
 
 
@@ -303,45 +313,12 @@ class SplitRun:
     morphism: TrackMorphism  # final -> start
 
 
-def _start(track) -> tuple[_Layout, dict[str, deque]]:
-    """The layout of `track` and the images of a run of no move: each edge
-    maps to itself.  A run extends the images in place (_step)."""
-    return _Layout(track), {lab: deque(((lab, 1),)) for lab in track.edges}
-
-
-def _step(layout: _Layout, images: dict[str, deque], move: SplitMove) -> None:
-    """Split `layout` by `move` and extend the slid edge's image in place:
-    x r takes the letters of r's image at its end, r^-1 x those of r^-1's
-    at its start.  Only those letters are copied, so a run copies each
-    letter of its result once; the seams are reduced when it ends."""
-    layout.split(*_split(layout, move))
-    (x, kind), (y, over) = move.slid, move.over
-    ride = images[y]  # the image of r when r = y (over i(y)), else of r^-1
-    if kind == "t":
-        images[x].extend(ride if over == "i" else inverse(ride))
-    else:  # extendleft puts each letter before the last: feed them last first
-        images[x].extendleft(reversed(ride) if over == "t"
-                             else ((lab, -s) for lab, s in ride))
-
-
-def _branch(layout: _Layout, images: dict[str, deque],
-            move: SplitMove) -> tuple[_Layout, dict[str, deque]]:
-    """The run state after `move` from the state (layout, images), which
-    stays as it is: a run that shares a prefix branches from it."""
-    layout, images = _Layout(layout), dict(images)
-    images[move.slid[0]] = images[move.slid[0]].copy()  # _step extends it
-    _step(layout, images, move)
-    return layout, images
-
-
-def _finish(start: TrainTrack, final: TrainTrack, moves: tuple[SplitMove, ...],
-            images: dict) -> SplitRun:
-    """The run of `moves` from `start` to `final`, whose slid edges got
-    `images` by _step, with every image freely reduced."""
+def _finish(start: TrainTrack, final: TrainTrack,
+            moves: tuple[SplitMove, ...]) -> SplitRun:
+    """The run of the legal `moves` from `start` to `final`."""
     name = ".".join(["id"] + [str(mv) for mv in moves])
     return SplitRun(start, final, moves, TrackMorphism(
-        final, start, {lab: free_reduce(w) for lab, w in images.items()},
-        name=name))
+        final, start, _images(start.edges, moves), name=name))
 
 
 def apply_sequence(track: TrainTrack, moves) -> SplitRun:
@@ -350,17 +327,12 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
 
     Every move is checked for legality on one layout, updated in place by
     re-siting only the ends the move shifts; only the final track, or the
-    one a move fails on, is built (_Layout).
-
-    A move changes only the image of its slid edge: x r becomes the image
-    of x followed by the image of r (r^-1 x likewise).  Each move extends
-    the slid edge's image in place by the letters of the other (_step), so
-    it copies only letters the result keeps, not the whole image, and each
-    final image is freely reduced once: linear in the letters of the
-    result.  Free reduction is confluent, so this is the word that reducing
-    after every move would give; a composite of splits is a train path, so
-    nothing cancels."""
-    layout, images = _start(track)
+    one a move fails on, is built (_Layout).  The images depend on the
+    moves alone and are built once all of them are legal (_images): linear
+    in the letters of the result.  Free reduction is confluent, so these
+    are the words that reducing after every move would give; a composite
+    of splits is a train path, so nothing cancels."""
+    layout = _Layout(track)
 
     def reached() -> TrainTrack:
         if layout.switches is track.switches:  # no move made yet
@@ -370,10 +342,10 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
     mv_tuple = tuple(moves)
     for i, mv in enumerate(mv_tuple):
         try:
-            _step(layout, images, mv)
+            layout.split(*_split(layout, mv))
         except IllegalMove as exc:
             raise IllegalMove(
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
                 track=reached(),
             ) from exc
-    return _finish(track, reached(), mv_tuple, images)
+    return _finish(track, reached(), mv_tuple)

@@ -93,13 +93,22 @@ def test_map_certify_text(capsys):
     assert "dilatation: 2.296630262877" in out
 
 
-def test_map_certify_expectations(capsys):
+def test_map_certify_expectations(capsys, tmp_path):
     code, *_ = run(capsys, "map", "certify", "atlas:phi2", "--expect", "pA")
     assert code == 0
+    # a verdict that disagrees with --expect exits 3, apart from a failed
+    # computation (1) and unusable input (2)
     code, _, err = run(capsys, "map", "certify", "atlas:phi1",
                        "--expect", "pA")
-    assert code == 1
+    assert code == 3
     assert "expected verdict 'pA', got 'reducible'" in err
+    doc = tmp_path / "swap.tt"
+    doc.write_text(TWO_CIRCLES + "\n[map swap]\nsource = circles\n"
+                   "target = circles\na = b\nb = a\n")
+    code, *_ = run(capsys, "map", "certify", str(doc), "--expect", "pA")
+    assert code == 1
+    code, *_ = run(capsys, "map", "certify", "atlas:nope", "--expect", "pA")
+    assert code == 2
 
 
 def test_map_dilatation_json_deterministic(capsys):

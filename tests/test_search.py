@@ -29,6 +29,8 @@ from ttlab.errors import (
 )
 from ttlab.incidence import incidence_matrix
 from ttlab.morphism import TrackMorphism, compose, compose_chain, iso_morphism
+from ttlab import search as search_module
+from ttlab import splitting
 from ttlab.search import (
     MAX_DEPTH,
     LoopResult,
@@ -88,8 +90,9 @@ def test_census_sequences_replay_cleanly(census):
 @pytest.mark.parametrize("make_seed, depth", [
     (twisted_track, 4), (base_track, 4), (initial_track, 5)])
 def test_search_loops_match_their_replays(make_seed, depth):
-    # search_loops builds its runs along the sorted loops' shared prefixes;
-    # replay rebuilds each from the seed with apply_sequence
+    # search_loops packages each loop from the track and isomorphisms its
+    # search closed on, without splitting; replay splits the loop again
+    # from the seed with apply_sequence and tests for isomorphisms afresh
     seed = make_seed()
     loops = search_loops(seed, SearchConfig(max_depth=depth, certify=False))
     assert loops
@@ -161,6 +164,24 @@ def test_census_memo_sizes():
     assert [len(m) for m in search.memo[1:]] == [220, 260, 24]
     assert len(search.closes) == 32
     assert search.nodes == 534
+
+
+def test_search_loops_splits_only_in_its_search(monkeypatch):
+    # a found loop is packaged from the closure its search ended on, so the
+    # census makes exactly the splits of the search itself
+    seed, split, calls = twisted_track(), splitting._split, []
+
+    def counted(track, move):
+        calls.append(move)
+        return split(track, move)
+
+    for module in (search_module, splitting):
+        monkeypatch.setattr(module, "_split", counted)
+    _LoopSearch(seed, SearchConfig(max_depth=4)).suffixes(seed, 4)
+    assert len(calls) == 1100
+    calls.clear()
+    assert len(search_loops(seed, SearchConfig(max_depth=4, certify=False))) == 80
+    assert len(calls) == 1100
 
 
 def test_depth_six_search_counters():

@@ -281,9 +281,13 @@ def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
         if not options:
             break
         mv = options[pick % len(options)]
-        child, _ = apply_split(t, mv)
+        child, step = apply_split(t, mv)
         assert split_switches(t, mv) == child.switches
-        assert unsplit(child, mv)[0].canonical_key == t.canonical_key
+        back, fold = unsplit(child, mv)
+        assert back.canonical_key == t.canonical_key
+        # one move has one morphism, whichever way it is reached
+        assert (fold.images, fold.name) == (step.images, step.name)
+        assert apply_sequence(t, (mv,)).morphism.images == step.images
         t = child
 
 
