@@ -97,7 +97,7 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
 
     warnings: list[str] = []
     mat = incidence_matrix(m)
-    fixed = fixed_edge_points(m)
+    fixed = fixed_edge_points(mat)
     irr = irreducibility(mat)
 
     prim: PrimitivityReport | None = None

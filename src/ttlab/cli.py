@@ -38,7 +38,7 @@ from .incidence import (
 from .morphism import TrackMorphism, compose_chain
 from .search import SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
-from .track import TrainTrack, format_end, tracks_equal
+from .track import EulerData, TrainTrack, format_end, tracks_equal
 from .words import format_word
 
 
@@ -69,8 +69,7 @@ def _track_dict(t: TrainTrack) -> dict:
     }
 
 
-def _euler_dict(t: TrainTrack) -> dict:
-    d = t.euler
+def _euler_dict(d: EulerData) -> dict:
     return {
         "switches": d.n_switches,
         "edges": d.n_edges,
@@ -91,7 +90,7 @@ def cmd_track_validate(args) -> int:
     t = resolve_track(args.spec)
     data = t.validate()
     if args.json:
-        _emit_json({"ok": True, "name": t.name, **_euler_dict(t)}, args.out)
+        _emit_json({"ok": True, "name": t.name, **_euler_dict(data)}, args.out)
     else:
         _emit(
             f"ok: {t.name} is a valid track "
@@ -109,7 +108,7 @@ def cmd_track_info(args) -> int:
     moves = legal_splits(t)
     if args.json:
         payload = _track_dict(t)
-        payload.update(_euler_dict(t))
+        payload.update(_euler_dict(data))
         payload["legalSplits"] = [str(m) for m in moves]
         payload["sideProfile"] = list(t.side_profile)
         _emit_json(payload, args.out)

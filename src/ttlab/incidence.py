@@ -48,11 +48,6 @@ class IncidenceMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def diagonal(self) -> tuple[int, ...]:
-        if not self.is_square:
-            raise NotPrimitive("diagonal needs a square matrix")
-        return tuple(self.data[i][i] for i in range(len(self.rows)))
-
     def row(self, label: str) -> dict[str, int]:
         r = self.data[self.rows.index(label)]
         return {c: r[j] for j, c in enumerate(self.cols)}
@@ -81,17 +76,15 @@ def mat_mult(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def fixed_edge_points(m: TrackMorphism) -> tuple[tuple[str, int], ...]:
-    """Edges whose image runs over themselves; each such edge pins at least
-    one fixed point of the map, so an empty result is what a fixed point
-    free certificate needs."""
-    mat = incidence_matrix(m)
+def fixed_edge_points(mat: IncidenceMatrix) -> tuple[tuple[str, int], ...]:
+    """Edges whose image runs over themselves, with the diagonal entry of
+    the incidence matrix `mat`; each such edge pins at least one fixed
+    point of the map, so an empty result is what a fixed point free
+    certificate needs.  A matrix that is not square has none."""
     if not mat.is_square:
         return ()
-    diag = mat.diagonal()
-    return tuple(
-        (lab, d) for lab, d in zip(mat.rows, diag) if d > 0
-    )
+    diag = (row[i] for i, row in enumerate(mat.data))
+    return tuple((lab, d) for lab, d in zip(mat.rows, diag) if d > 0)
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +248,9 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10) -> PerronData:
     Step k brackets the root by the Collatz-Wielandt quotients of
     M^(k-1) 1; `iterations` is the first step, at most MAX_ITERATIONS,
     whose bracket is narrower than `tol`.  A Perron root of 0 raises
-    NotPrimitive.
+    NotPrimitive.  The transpose's bracket is intersected with it.  Both
+    contain the Perron root, being Collatz-Wielandt brackets of positive
+    vectors, so the intersection is never empty.
     """
     check_tolerance(tol)
     rep = irreducibility(mat)
@@ -314,8 +309,6 @@ def dilatation(mat: IncidenceMatrix, tol: float = 1e-10) -> PerronData:
     # the transpose shares the Perron root; take the common refinement
     lower = max(lower, lo_t)
     upper = min(upper, hi_t)
-    if lower > upper:
-        raise NoConvergence("transpose bracket disagrees, tolerance too loose")
     total = sum(vt)
     weights = tuple(x / total for x in vt)
     value = float((lower + upper) / 2)

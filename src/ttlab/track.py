@@ -150,10 +150,6 @@ class EulerData:
     cusp_counts: tuple[int, ...]
     coherently_orientable: bool
 
-    @property
-    def total_cusps(self) -> int:
-        return sum(self.cusp_counts)
-
 
 @lru_cache(maxsize=64)
 def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
@@ -268,12 +264,8 @@ class TrainTrack:
             word = tuple(letter_from_departure(e) for e in seq)
             n = len(seq)
             cusps = []
-            for j in range(n):
-                arr = flip_end(seq[j - 1])
-                dep = seq[j]
-                if site[arr][0] != site[dep][0]:
-                    raise InvalidTrack("boundary trace left the switch")
-                if site[arr][1] == site[dep][1]:
+            for j in range(n):  # sigma keeps a junction at one switch
+                if site[flip_end(seq[j - 1])][1] == site[seq[j]][1]:
                     cusps.append(j)
             word, r = min_rotation(word, starts=cusps or None)
             cusps = tuple(sorted((c - r) % n for c in cusps))
@@ -292,8 +284,13 @@ class TrainTrack:
                 todo += (flip_end(e), self.sigma[e])
         return len(reached) == len(self.end_site)
 
-    @cached_property
-    def euler(self) -> EulerData:
+    def validate(self) -> EulerData:
+        """Euler data of the track; InvalidTrack if it is not connected.
+
+        Its ends were checked when it was built.  The rest holds for every
+        connected ribbon graph, so it is not checked again: the boundary
+        curves have total length 2E, they carry sum(|side| - 1) cusps over
+        all sides, and 2 - b - chi is even, so the genus is an integer."""
         if not self.connected:
             raise InvalidTrack("track is not connected, so it has no genus")
         v = len(self.switches)
@@ -301,9 +298,6 @@ class TrainTrack:
         chi = v - e
         curves = self.boundary_curves
         b = len(curves)
-        if (2 - b - chi) % 2 != 0:
-            raise InvalidTrack("non-integral genus")
-        genus = (2 - b - chi) // 2
         try:
             self.orientation()
             orientable = True
@@ -314,26 +308,11 @@ class TrainTrack:
             n_edges=e,
             chi=chi,
             n_boundaries=b,
-            genus=genus,
+            genus=(2 - b - chi) // 2,
             total_boundary_length=sum(len(c) for c in curves),
             cusp_counts=tuple(c.n_cusps for c in curves),
             coherently_orientable=orientable,
         )
-
-    def validate(self) -> EulerData:
-        """Full consistency battery; __post_init__ already did the basics."""
-        data = self.euler
-        if data.total_boundary_length != 2 * data.n_edges:
-            raise InvalidTrack("boundary length must be twice the edge count")
-        switch_cusps = sum(
-            (len(sw.side_a) - 1) + (len(sw.side_b) - 1) for sw in self.switches
-        )
-        if switch_cusps != data.total_cusps:
-            raise InvalidTrack(
-                f"cusp conservation fails: sides give {switch_cusps}, "
-                f"boundary gives {data.total_cusps}"
-            )
-        return data
 
     # ------------------------------------------------------------------
 

@@ -62,8 +62,9 @@ def test_criterion_2_s1_closure():
 
 def test_criterion_3_phi1_reducible():
     m = A.phi1()
-    assert fixed_edge_points(m) == ()
-    rep = irreducibility(incidence_matrix(m))
+    mat = incidence_matrix(m)
+    assert fixed_edge_points(mat) == ()
+    rep = irreducibility(mat)
     assert not rep.irreducible
     assert set(rep.witness) == set("acdfghjkl")
     action = boundary_action(m)
@@ -244,7 +245,7 @@ def test_criterion_9_property_suites():
         mat = incidence_matrix(m)
         expected = {(lab, mat.entry(lab, lab))
                     for lab in mat.rows if mat.entry(lab, lab)}
-        assert set(fixed_edge_points(m)) == expected
+        assert set(fixed_edge_points(mat)) == expected
     _report(9, "200 random split compositions are functorial, 200 random "
                "splits preserve the shape, and every atlas map obeys the "
                "diagonal law")

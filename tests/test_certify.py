@@ -1,5 +1,6 @@
 """End-to-end certification verdicts and report rendering."""
 
+import importlib
 import json
 import sys
 from dataclasses import replace
@@ -108,6 +109,21 @@ def test_certificate_invariant_under_relabelling(name, image):
         for c in cert.matrix.cols:
             assert moved.matrix.entry(perm[r], perm[c]) == \
                 cert.matrix.entry(r, c)
+
+
+def test_certify_builds_one_incidence_matrix(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.name)
+        return incidence_matrix(m)
+
+    # the attribute ttlab.certify is the function, so look the module up
+    for module in ("ttlab.certify", "ttlab.incidence"):
+        monkeypatch.setattr(importlib.import_module(module),
+                            "incidence_matrix", counted)
+    certify(phi2())
+    assert calls == ["phi2"]
 
 
 def test_certify_requires_self_map():

@@ -62,7 +62,7 @@ def test_phi1_matrix_rows():
 
 def test_identity_matrix_is_diagonal():
     mat = incidence_matrix(identity_morphism(base_track()))
-    assert mat.diagonal() == (1,) * 12
+    assert fixed_edge_points(mat) == tuple((lab, 1) for lab in mat.rows)
     rep = irreducibility(mat)
     assert not rep.irreducible
     assert rep.scc_count == 12
@@ -96,22 +96,21 @@ def test_functoriality_on_powers():
 def test_fixed_edge_points_diagonal_law():
     for build in (phi1, phi2, phi3, alpha, involution, t_ig, t_gi,
                   lambda: phi(7), lambda: psi(2)):
-        m = build()
-        pts = fixed_edge_points(m)
-        mat = incidence_matrix(m)
-        from_diag = {lab for lab, d in zip(mat.rows, mat.diagonal()) if d > 0}
+        mat = incidence_matrix(build())
+        pts = fixed_edge_points(mat)
+        from_diag = {lab for lab in mat.rows if mat.entry(lab, lab) > 0}
         assert {lab for lab, _ in pts} == from_diag
 
 
 def test_phi_maps_have_empty_diagonal():
     for build in (phi1, phi2, phi3, lambda: phi(9), lambda: psi(3)):
-        assert fixed_edge_points(build()) == ()
+        assert fixed_edge_points(incidence_matrix(build())) == ()
 
 
 def test_twist_maps_have_diagonal():
     # identity words and the three twisted words all cross themselves
-    assert {lab for lab, _ in fixed_edge_points(t_ig())} == \
-        set("abcdefghijkl")
+    pts = fixed_edge_points(incidence_matrix(t_ig()))
+    assert {lab for lab, _ in pts} == set("abcdefghijkl")
 
 
 def test_phi1_reducible_with_witness():
@@ -173,6 +172,15 @@ def test_zero_perron_root_is_not_primitive():
     # irreducible (one node reaches itself) but nilpotent
     with pytest.raises(NotPrimitive, match="Perron root is 0"):
         dilatation(IncidenceMatrix(("a",), ("a",), ((0,),)))
+
+
+def test_cyclic_permutation_is_bracketed_exactly_at_step_one():
+    # imprimitive, of period 3, yet M 1 = 1 already pins the root 1
+    labels = ("a", "b", "c")
+    mat = IncidenceMatrix(labels, labels, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    assert not primitivity(mat).primitive
+    d = dilatation(mat)
+    assert (d.lower, d.upper, d.iterations) == (1, 1, 1)
 
 
 def test_random_split_functoriality():

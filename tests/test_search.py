@@ -1,6 +1,7 @@
 """Loop search over splitting sequences, and sequence replay."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from ttlab.errors import (
     NotAnIdentification,
     ResourceLimit,
 )
+from ttlab.fileio import resolve_track
 from ttlab.incidence import incidence_matrix
 from ttlab.morphism import TrackMorphism, compose, compose_chain, iso_morphism
 from ttlab import search as search_module
@@ -434,6 +436,26 @@ def test_depth_four_closures_share_four_components(census):
                 for lab, row in zip(mat.rows, mat.data):
                     arcs[lab].update(c for c, x in zip(mat.cols, row) if x)
         assert _components(arcs) == {"acegik", "bh", "dj", "fl"}
+
+
+# One-switch tracks of two 7-letter interval exchanges in H(2,2): the
+# hyperelliptic class (reverse permutation) and the odd class.  At their one
+# switch the four legal moves are the left and right Rauzy-Veech moves.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize("seed, depth, n_loops, verdicts", [
+    ("h22_hyp", 6, 268, {"pA": 108, "reducible": 160}),
+    ("h22_odd", 7, 1037, {"reducible": 1037}),
+])
+def test_interval_exchange_seed_censuses(seed, depth, n_loops, verdicts):
+    track = resolve_track(str(EXAMPLES / f"{seed}.tt"))
+    loops = search_loops(track, SearchConfig(max_depth=depth))
+    assert len(loops) == n_loops
+    assert Counter(c.verdict for r in loops for c in r.certificates) == verdicts
+    # no closure is fixed point free
+    assert search_loops(track, SearchConfig(
+        max_depth=depth, require_fixed_point_free=True)) == ()
 
 
 def test_replay_sigma1_closure():

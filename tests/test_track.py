@@ -1,6 +1,7 @@
 """Track structure: switches, ribbon boundaries, Euler data, isomorphism."""
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,21 @@ from ttlab.atlas import (
     D2,
     D2_PRIME,
     INVOLUTION_PAIRS,
+    atlas_names,
     base_track,
+    entry,
     initial_track,
     twisted_track,
 )
 from ttlab.errors import InvalidTrack, NotOrientable, UnknownEntry
+from ttlab.fileio import resolve_track
 from ttlab.splitting import apply_split, legal_splits
 from ttlab.track import (
     Switch,
     TrainTrack,
+    arrival_end,
     automorphisms,
+    departure_end,
     end,
     isomorphisms,
     tracks_equal,
@@ -296,6 +302,47 @@ def test_each_signed_letter_once_across_boundaries_of_small_tracks(track):
     letters = [lt for c in track.boundary_curves for lt in c.word]
     assert sorted(letters) == sorted(
         (lab, s) for lab in track.edges for s in (1, -1))
+
+
+def _assert_ribbon_invariants(track):
+    """What every connected ribbon graph satisfies, so validate() does not
+    check it.  If a change to construction breaks one, this fails."""
+    curves = track.boundary_curves
+    # the trace departs from every end exactly once
+    assert sum(len(c) for c in curves) == 2 * len(track.edges)
+    # the ribbon cycle A + reversed(B) has (|A| - 1) + (|B| - 1) junctions
+    # that stay on one side
+    assert sum(c.n_cusps for c in curves) == sum(
+        len(sw.side_a) - 1 + len(sw.side_b) - 1 for sw in track.switches)
+    # V - E + b is even, so the genus is an integer
+    assert (2 - len(curves) - (len(track.switches) - len(track.edges))) % 2 == 0
+    # every junction joins an arrival and a departure at one switch
+    for c in curves:
+        for j, lt in enumerate(c.word):
+            assert (track.switch_of(arrival_end(c.word[j - 1]))
+                    == track.switch_of(departure_end(lt)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(track=st.integers(1, 5).flatmap(small_tracks).filter(
+    lambda t: t.connected))
+def test_ribbon_invariants_of_small_tracks(track):
+    _assert_ribbon_invariants(track)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"atlas:{name}" for name in atlas_names()
+      if ":" not in name and entry(name)[0] == "track"),
+    "examples/h22_hyp.tt",
+    "examples/h22_odd.tt",
+])
+def test_ribbon_invariants_of_catalogue_tracks_and_seeds(spec):
+    if not spec.startswith("atlas:"):
+        spec = str(ROOT / spec)
+    _assert_ribbon_invariants(resolve_track(spec))
 
 
 def _coherent(track, orient):
