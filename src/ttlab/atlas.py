@@ -17,22 +17,26 @@ indices stop at MAX_INDEX.
 
 The base track is stored as a golden table and can also be re-derived from
 the printed boundary words plus the map words alone, see
-reconstruct_base_track().  The initial track (the one the twelve move
-opening sequence starts from) is recovered by unfolding that sequence
-backwards from the base track; its golden table is frozen here and
-derive_initial_track() cross-checks it.
+reconstruct_base_track().  That derivation rests on two facts: when the
+junctions of the two words give 24 distinct arrival ends, their ribbon
+successor is a permutation of the ends, and a cycle of it is a switch
+exactly when the end kind changes twice around it.
+
+The initial track (the one the twelve move opening sequence starts from)
+is recovered by unfolding that sequence backwards from the base track; its
+golden table is frozen here and derive_initial_track() cross-checks it.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, partial
+from itertools import product
 
 from .errors import BadIndex, InconsistentConstraints, TrackError, UnknownEntry
 from .morphism import TrackMorphism, relabel_morphism
 from .splitting import SplitMove, parse_sequence, unsplit
-from .track import (Switch, TrainTrack, arrival_end, departure_end, parse_end,
-                    tracks_equal)
+from .track import Switch, TrainTrack, arrival_end, departure_end, parse_end
 from .words import Word, find_rotations, inverse, parse_word
 
 ALPHABET = tuple("abcdefghijkl")
@@ -307,106 +311,57 @@ def identification_ii() -> dict[str, str]:
 # reconstruction of the base track from printed data
 
 
-def _junction_sigma(words: list[Word]):
-    """sigma (ribbon successor) read off boundary traversals; None on clash."""
-    sigma = {}
-    for w in words:
-        n = len(w)
-        for idx in range(n):
-            arr = arrival_end(w[idx])
-            dep = departure_end(w[(idx + 1) % n])
-            if arr in sigma and sigma[arr] != dep:
-                return None
-            sigma[arr] = dep
-    return sigma
-
-
-def _sigma_cycles(sigma: dict) -> list[list]:
-    seen = set()
-    cycles = []
-    for start in sorted(sigma):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = sigma[start]
-        while cur != start:
-            if cur in seen:
-                return []
-            cyc.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        cycles.append(cyc)
-    return cycles
-
-
-def _kind_runs(cycle: list) -> list[list]:
-    """Maximal cyclic runs of equal end kind."""
-    n = len(cycle)
-    # rotate to a kind change
-    start = 0
-    for i in range(n):
-        if cycle[i - 1][1] != cycle[i][1]:
-            start = i
-            break
-    else:
-        return [list(cycle)]
-    rot = cycle[start:] + cycle[:start]
-    runs = [[rot[0]]]
-    for e in rot[1:]:
-        if e[1] == runs[-1][-1][1]:
-            runs[-1].append(e)
-        else:
-            runs.append([e])
-    return runs
-
-
 def reconstruct_base_track() -> TrainTrack:
     """Rebuild the base track from the printed boundary words and the map
     words, without the golden switch table.
 
-    Boundary junctions force arrival and departure ends to share a switch
-    and give the ribbon successor.  Each printed word is tried in both
-    traversal directions; a combination survives only if sigma is a
-    permutation whose cycles split into two kind runs, the first printed
-    word reappears in the traced boundary as printed, and all catalogued
-    self maps come out smooth.  Smoothness includes that consecutive
-    letters x y of a map image put t(x) and i(y) at one switch.
+    Consecutive letters x y of a boundary word put the arrival end of x
+    next to the departure end of y, which gives the ribbon successor
+    sigma; each cycle of sigma is a switch.  Each printed word is tried in
+    both traversal directions.  A choice survives only if
+
+    - sigma has all 24 ends as keys.  A clash or a repeated junction drops
+      a key.  With 24 distinct arrival ends the 24 letters are distinct
+      signed letters, so sigma is a permutation and every cycle closes;
+    - the end kind changes at exactly two places around each cycle, which
+      cuts it into the two non-empty sides of a switch;
+    - the first printed word reappears as printed on the traced boundary;
+    - the catalogued self maps come out smooth, which includes that
+      consecutive letters x y of an image put t(x) and i(y) at one switch.
+
+    Two surviving choices would have different sigma, hence different
+    tracks, so the survivors are counted as they are.
     """
     map_words = [m.mapping for m in (phi1(), phi(3), psi(1))]
     d1, d2 = parse_word(D1), parse_word(D2)
     survivors = []
-    for flip1 in (False, True):
-        for flip2 in (False, True):
-            w1 = inverse(d1) if flip1 else d1
-            w2 = inverse(d2) if flip2 else d2
-            sigma = _junction_sigma([w1, w2])
-            if sigma is None or len(sigma) != 2 * len(ALPHABET):
+    for words in product((d1, inverse(d1)), (d2, inverse(d2))):
+        sigma = {arrival_end(w[k - 1]): departure_end(w[k])
+                 for w in words for k in range(len(w))}
+        if len(sigma) < 2 * len(ALPHABET):
+            continue
+        # walked from least ends up, so each cycle starts at its least end
+        # and v1, v2, ... follow the least end of each switch
+        switches, seen = [], set()
+        for start in sorted(sigma):
+            if start in seen:
                 continue
-            cycles = _sigma_cycles(sigma)
-            if not cycles:
-                continue
-            switches = []
-            ok = True
-            for cyc in cycles:
-                runs = _kind_runs(cyc)
-                if len(runs) != 2:
-                    ok = False
-                    break
-                side_a = tuple(runs[0])
-                side_b = tuple(reversed(runs[1]))
-                switches.append((side_a, side_b))
-            if not ok:
-                continue
-            named = _canonical_switch_names(switches)
-            try:
-                track = TrainTrack("tau", ALPHABET, named)
-            except TrackError:  # inconsistent assembly
-                continue
-            # the first printed word must appear exactly as printed
-            if not any(
-                find_rotations(d1, c.word) for c in track.boundary_curves
-            ):
+            cyc = [start]
+            while sigma[cyc[-1]] != start:
+                cyc.append(sigma[cyc[-1]])
+            seen.update(cyc)
+            cuts = [k for k in range(len(cyc)) if cyc[k - 1][1] != cyc[k][1]]
+            if len(cuts) != 2:
+                break  # no switch has this cycle: reject the choice
+            i, j = cuts
+            side_b = tuple(reversed(cyc[j:] + cyc[:i]))
+            switches.append(Switch(
+                f"v{len(switches) + 1}",
+                *Switch("", tuple(cyc[i:j]), side_b).canonical_presentation()))
+        else:
+            track = TrainTrack("tau", ALPHABET, tuple(switches))
+            if not any(find_rotations(d1, c.word)
+                       for c in track.boundary_curves):
                 continue
             try:
                 for images in map_words:
@@ -414,23 +369,11 @@ def reconstruct_base_track() -> TrainTrack:
             except TrackError:
                 continue
             survivors.append(track)
-
-    uniq: list[TrainTrack] = []
-    for t in survivors:
-        if not any(tracks_equal(t, u) for u in uniq):
-            uniq.append(t)
-    if len(uniq) != 1:
+    if len(survivors) != 1:
         raise InconsistentConstraints(
-            f"reconstruction is not unique: {len(uniq)} solutions"
+            f"reconstruction is not unique: {len(survivors)} solutions"
         )
-    return uniq[0]
-
-
-def _canonical_switch_names(pairs) -> tuple[Switch, ...]:
-    keyed = sorted(pairs, key=lambda ab: min(min(ab[0]), min(ab[1])))
-    return tuple(
-        Switch(f"v{idx}", *Switch("", tuple(a), tuple(b)).canonical_presentation())
-        for idx, (a, b) in enumerate(keyed, start=1))
+    return survivors[0]
 
 
 # ----------------------------------------------------------------------

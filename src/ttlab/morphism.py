@@ -24,7 +24,7 @@ from .track import (
     format_end,
     tracks_equal,
 )
-from .words import Word, format_word, free_reduce, substitute
+from .words import Word, free_reduce, substitute
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +144,6 @@ class TrackMorphism:
             return True
         except InvalidMorphism:
             return False
-
-    def describe(self) -> str:
-        rows = [f"{lab} -> {format_word(w)}" for lab, w in self.images]
-        head = self.name or "morphism"
-        return f"{head}: {self.source.name} -> {self.target.name}; " + "; ".join(rows)
 
 
 # ----------------------------------------------------------------------

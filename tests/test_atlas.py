@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from ttlab import atlas as A
-from ttlab.errors import BadIndex, UnknownEntry
+from ttlab.errors import BadIndex, InconsistentConstraints, UnknownEntry
 from ttlab.morphism import TrackMorphism, compose, compose_chain
 from ttlab.splitting import apply_sequence, format_sequence
 from ttlab.track import isomorphisms, tracks_equal
-from ttlab.words import format_word
+from ttlab.words import format_word, inverse, parse_word
 
 PHI1_WORDS = {
     "a": "k", "b": "f i j", "c": "k g k", "d": "j", "e": "j b f",
@@ -193,6 +193,23 @@ def test_reconstruction_does_not_swallow_programming_errors(monkeypatch):
     monkeypatch.setattr(TrackMorphism, "check", broken)
     with pytest.raises(RuntimeError, match="broken check"):
         A.reconstruct_base_track()
+
+
+@pytest.mark.parametrize("d1", ["j i -h -d e a -c -l b f -g -k",
+                                A.D1_PRIME])
+def test_reconstruction_fails_on_other_printed_words(monkeypatch, d1):
+    # the first two letters swapped, or the twisted track's first word;
+    # the stored track is cached first, so it keeps the printed words
+    A.base_track()
+    monkeypatch.setattr(A, "D1", d1)
+    with pytest.raises(InconsistentConstraints, match="0 solutions"):
+        A.reconstruct_base_track()
+
+
+def test_reconstruction_ignores_the_direction_of_d2(monkeypatch):
+    want = A.base_track().canonical_key
+    monkeypatch.setattr(A, "D2", format_word(inverse(parse_word(A.D2))))
+    assert A.reconstruct_base_track().canonical_key == want
 
 
 def test_atlas_lookup():

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ttlab.atlas import atlas, base_track, phi, phi1, phi2, phi3, psi, t_ig
 from ttlab.certify import certify, render_text, to_json, to_json_dict
 from ttlab.errors import BadIndex, InvalidTrack, NotASelfMap
+from ttlab.fileio import resolve_track
 from ttlab.incidence import dilatation, incidence_matrix
 from ttlab.morphism import (
     TrackMorphism,
@@ -22,6 +24,7 @@ from ttlab.morphism import (
     relabel_morphism,
 )
 from ttlab.track import Switch, TrainTrack, end
+from ttlab.words import parse_word
 
 PHI2_DILATATION = 2.2966302628865
 
@@ -234,6 +237,33 @@ def test_json_dict_reducible():
     assert d["dilatation"] is None
     assert d["primitive"] is None
     assert sorted(d["invariantWitness"]) == sorted("acdfghjkl")
+
+
+# A smooth self map of the odd interval-exchange seed whose boundary image
+# lands no cusp on a cusp: Perron data exist, the boundary action does not.
+MISS_WORDS = {
+    "a": "-d -e -d -e", "b": "-g -g", "c": "-b -g", "d": "-c -g -c -f",
+    "e": "-b -g", "f": "-b -c", "g": "-f -a -g -b",
+}
+H22_ODD = Path(__file__).resolve().parent.parent / "examples" / "h22_odd.tt"
+
+
+def test_inconclusive_when_the_boundary_action_is_unavailable():
+    track = resolve_track(str(H22_ODD))
+    cert = certify(TrackMorphism(
+        track, track, {k: parse_word(v) for k, v in MISS_WORDS.items()},
+        name="miss"))
+    assert cert.irreducibility.irreducible
+    assert cert.primitivity.primitive and cert.primitivity.exponent == 4
+    assert cert.verdict == "inconclusive"
+    assert cert.fixed_point_free is None
+    assert any(w.startswith(
+        "boundary action unavailable: image of curve 0 matches no target "
+        "curve with cusps landing on cusps") for w in cert.warnings)
+    d = to_json_dict(cert)
+    assert d["boundary"] is None
+    assert d["sideOrbits"] is None
+    assert d["boundaryPeriodicPoints"] is None
 
 
 def test_brackets_past_the_int_str_digit_cap_render_exactly():

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_certify import H22_ODD, MISS_WORDS
 
 from ttlab.atlas import (
     alpha,
@@ -109,6 +110,14 @@ def test_map_certify_expectations(capsys, tmp_path):
     assert code == 1
     code, *_ = run(capsys, "map", "certify", "atlas:nope", "--expect", "pA")
     assert code == 2
+    # the map whose boundary image lands no cusp on a cusp, see test_certify
+    doc = tmp_path / "miss.tt"
+    doc.write_text(H22_ODD.read_text()
+                   + "\n[map miss]\nsource = h22_odd\ntarget = h22_odd\n"
+                   + "".join(f"{k} = {v}\n" for k, v in MISS_WORDS.items()))
+    code, *_ = run(capsys, "map", "certify", str(doc),
+                   "--expect", "inconclusive")
+    assert code == 0
 
 
 def test_map_dilatation_json_deterministic(capsys):

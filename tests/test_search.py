@@ -1,6 +1,7 @@
 """Loop search over splitting sequences, and sequence replay."""
 
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from ttlab.atlas import (
     initial_track,
     phi,
     phi1,
+    phi2,
     phi3,
     s1_moves,
     splitting_sequence,
@@ -47,6 +49,7 @@ from ttlab.splitting import (
     apply_split,
     format_sequence,
     legal_splits,
+    parse_sequence,
     split_switches,
 )
 from ttlab.track import flip_end, isomorphisms, side_profile
@@ -456,6 +459,35 @@ def test_interval_exchange_seed_censuses(seed, depth, n_loops, verdicts):
     # no closure is fixed point free
     assert search_loops(track, SearchConfig(
         max_depth=depth, require_fixed_point_free=True)) == ()
+
+
+def test_phi2_twin_from_the_hyperelliptic_seed():
+    # the first closure from h22_hyp at depth 8 in notation order with the
+    # dilatation of phi2; none exists at depth <= 7
+    twin = replay(
+        resolve_track(str(EXAMPLES / "h22_hyp.tt")),
+        parse_sequence("i(a)/t(g); i(g)/t(a); t(g)/i(b); t(a)/i(g); "
+                       "t(f)/i(b); t(e)/i(b); t(d)/i(b); t(c)/i(b)"),
+        dict(zip("abcdefg", "bcdefag")),
+        SearchConfig(tolerance=1e-30)).certificates[0]
+    assert twin.verdict == "pA"
+    assert twin.fixed_edges == (("c", 1), ("g", 2))
+    assert twin.fixed_point_free is False
+    assert twin.cusp_counts == (6, 6)
+    assert twin.boundary.curve_map == (1, 0)
+    cert = certify(phi2(), tol=1e-30)
+    assert cert.verdict == "pA"
+    assert cert.fixed_point_free is True
+    assert cert.cusp_counts == (6, 6)
+    # both brackets hold a root of phi2's Perron factor, and they overlap:
+    # the same dilatation on a map with fixed points, so not conjugate
+    def perron_factor(x: Fraction) -> Fraction:
+        return x**4 - 2 * x**3 - 2 * x + 1
+
+    for c in (twin, cert):
+        assert perron_factor(c.perron.lower) < 0 < perron_factor(c.perron.upper)
+    assert max(twin.perron.lower, cert.perron.lower) \
+        <= min(twin.perron.upper, cert.perron.upper)
 
 
 def test_replay_sigma1_closure():
