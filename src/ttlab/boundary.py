@@ -27,7 +27,7 @@ its orbit, rendered in the marked edge style.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AlignmentError, BoundaryNotPreserved, NotASelfMap
 from .morphism import TrackMorphism
@@ -41,8 +41,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class CurveImage:
+class CurveImage(NamedTuple):
     source_index: int
     target_index: int
     rotation: int  # in letters: reduced image == rotate(target word, rotation)
@@ -51,8 +50,7 @@ class CurveImage:
     fold_depths: tuple[int, ...]  # cancelled run at each source cusp
 
 
-@dataclass(frozen=True)
-class BoundaryAction:
+class BoundaryAction(NamedTuple):
     curve_map: tuple[int, ...]
     curves: tuple[CurveImage, ...]
     warnings: tuple[str, ...]
@@ -148,8 +146,7 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
 # side dynamics of a self map
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(NamedTuple):
     curve: int
     side: int
     letter: int  # index within the side word of the letter carrying the point
@@ -164,8 +161,7 @@ class PeriodicPoint:
         return tuple(lab for _, _, _, lab in self.itinerary)
 
 
-@dataclass(frozen=True)
-class SideOrbit:
+class SideOrbit(NamedTuple):
     sides: tuple[tuple[int, int], ...]  # (curve, side) along the orbit
     period: int
     bracket_offsets: tuple[int, ...]  # T per side, aligned with `sides`
@@ -174,8 +170,7 @@ class SideOrbit:
     points: tuple[PeriodicPoint, ...]
 
 
-@dataclass(frozen=True)
-class SideDynamics:
+class SideDynamics(NamedTuple):
     orbits: tuple[SideOrbit, ...]
     total_points: int  # summed over every side of every orbit
     degenerate: bool

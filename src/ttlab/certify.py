@@ -20,8 +20,8 @@ as a puncture with its cusp count of prongs, or filled in as a cone point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .boundary import BoundaryAction, SideDynamics, boundary_action, side_dynamics
 from .errors import InvalidTrack, NoConvergence, NotASelfMap, TrackError
@@ -47,8 +47,7 @@ VERDICT_REDUCIBLE = "reducible"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     map_name: str
     track_name: str
     edges: tuple[str, ...]

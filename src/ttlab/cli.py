@@ -36,7 +36,7 @@ from .incidence import (
     incidence_matrix,
 )
 from .morphism import TrackMorphism, compose_chain
-from .search import SearchConfig, search_loops
+from .search import MAX_NODES, SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
 from .track import EulerData, TrainTrack, format_end, tracks_equal
 from .words import format_word
@@ -394,7 +394,7 @@ def cmd_search_loops(args) -> int:
             entry = {
                 "sequence": [str(m) for m in r.sequence],
                 "depth": r.depth,
-                "identifications": [dict(i.labels) for i in r.identifications],
+                "identifications": [i.labels for i in r.identifications],
                 "selfMaps": [
                     {lab: format_word(w) for lab, w in sm.images}
                     for sm in r.self_maps
@@ -479,10 +479,10 @@ _COMMANDS = (
         ("loops", cmd_search_loops, {
             "spec": {"help": "seed track"},
             "--depth": {"type": int, "default": 4},
-            "--max-nodes": {"type": int, "default": SearchConfig.max_nodes,
+            "--max-nodes": {"type": int, "default": MAX_NODES,
                             "help": "stop after expanding this many tracks, "
                                     "at least 1 (default "
-                                    f"{SearchConfig.max_nodes})"},
+                                    f"{MAX_NODES})"},
             "--no-certify": {"action": "store_true",
                              "help": "skip certifying the loop self maps"},
             "--fpf": {"action": "store_true",

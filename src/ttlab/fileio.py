@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 from .atlas import entry
 from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
@@ -43,11 +42,14 @@ from .words import format_word, parse_word
 _HEADER_RE = re.compile(r"^\[\s*(track|switch|map|sequence)\s+([^\s\]]+)\s*\]$")
 
 
-@dataclass
 class Document:
-    tracks: dict[str, TrainTrack] = field(default_factory=dict)
-    maps: dict[str, TrackMorphism] = field(default_factory=dict)
-    sequences: dict[str, tuple[SplitMove, ...]] = field(default_factory=dict)
+    """The tracks, maps and sequences of one document, by name."""
+
+    def __init__(self, tracks=None, maps=None, sequences=None):
+        self.tracks: dict[str, TrainTrack] = {} if tracks is None else tracks
+        self.maps: dict[str, TrackMorphism] = {} if maps is None else maps
+        self.sequences: dict[str, tuple[SplitMove, ...]] = (
+            {} if sequences is None else sequences)
 
 
 def parse_document(text: str) -> Document:

@@ -23,11 +23,11 @@ built by squaring; the transpose bracket reuses them transposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isfinite
 from operator import mul, or_
+from typing import NamedTuple
 
 from .errors import BadIndex, NoConvergence, NotIrreducible, NotPrimitive
 from .morphism import TrackMorphism
@@ -35,8 +35,7 @@ from .morphism import TrackMorphism
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     rows: tuple[str, ...]  # source edges
     cols: tuple[str, ...]  # target edges
     data: Matrix
@@ -90,8 +89,7 @@ def fixed_edge_points(mat: IncidenceMatrix) -> tuple[tuple[str, int], ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     irreducible: bool
     witness: tuple[str, ...]  # out-closed proper edge set, empty when irreducible
     scc_count: int
@@ -125,8 +123,7 @@ def irreducibility(mat: IncidenceMatrix) -> IrreducibilityReport:
     return IrreducibilityReport(False, witness, len(comps))
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
+class PrimitivityReport(NamedTuple):
     primitive: bool
     exponent: int | None  # least k with M^k positive, when primitive
     bound: int  # Wielandt bound that was checked up to
@@ -151,8 +148,7 @@ def primitivity(mat: IncidenceMatrix) -> PrimitivityReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     value: float
     lower: Fraction
     upper: Fraction

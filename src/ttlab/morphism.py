@@ -10,7 +10,6 @@ side.  This is exactly what lets the image be pulled tight along the track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Mapping
 
@@ -27,20 +26,16 @@ from .track import (
 from .words import Word, free_reduce, substitute
 
 
-@dataclass(frozen=True, eq=False)
 class TrackMorphism:
-    source: TrainTrack
-    target: TrainTrack
-    images: tuple[tuple[str, Word], ...]
-    name: str = field(default="", compare=False)
+    """Edge images, given as a mapping or (label, word) pairs, kept sorted.
+    Fields cannot be set; `==` ignores names, and there is no hash."""
 
-    def __post_init__(self):
-        imgs = self.images
-        if isinstance(imgs, Mapping):
-            imgs = tuple(sorted((k, tuple(w)) for k, w in imgs.items()))
-        else:
-            imgs = tuple(sorted((k, tuple(w)) for k, w in imgs))
-        object.__setattr__(self, "images", imgs)
+    def __init__(self, source: TrainTrack, target: TrainTrack, images,
+                 name: str = ""):
+        imgs = images.items() if isinstance(images, Mapping) else images
+        imgs = tuple(sorted((k, tuple(w)) for k, w in imgs))
+        self.__dict__.update(source=source, target=target, images=imgs,
+                             name=name)
         have = [k for k, _ in self.images]
         want = sorted(self.source.edges)
         if have != want:
@@ -66,6 +61,9 @@ class TrackMorphism:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TrackMorphism is immutable: cannot set {name!r}")
 
     @property
     def is_self_map(self) -> bool:
@@ -203,7 +201,6 @@ def relabel_morphism(src: TrainTrack, mapping: dict[str, str],
 
 def iso_morphism(iso: TrackIso, src: TrainTrack, dst: TrainTrack) -> TrackMorphism:
     """A TrackIso (src -> dst) as a single-letter morphism."""
-    return TrackMorphism(
-        src, dst, {lab: ((iso.labels[lab], 1),) for lab in src.edges}
-    )
+    labels = iso.labels
+    return TrackMorphism(src, dst, {lab: ((labels[lab], 1),) for lab in src.edges})
 

@@ -24,7 +24,7 @@ its 160 closures, and depth 6 certifies 122 for 1,024.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .certify import Certificate, certify
 from .errors import BadIndex, NotAnIdentification, ResourceLimit
@@ -51,15 +51,16 @@ _Closure = tuple[TrainTrack, tuple[TrackIso, ...]]
 # its recursion stays well inside Python's default limit.
 MAX_DEPTH = 100
 
+# Default budget of tracks to expand (memo misses plus leaf isomorphism
+# checks); depth 7 from tau_prime expands 24,694.
+MAX_NODES = 50_000
 
-@dataclass(frozen=True)
-class SearchConfig:
+
+class SearchConfig(NamedTuple):
     max_depth: int = 4
     certify: bool = True
     tolerance: float = 1e-10
-    # tracks the search may expand (memo misses plus leaf isomorphism
-    # checks); leaves room for depth 7 from tau_prime, which expands 24,694
-    max_nodes: int = 50_000
+    max_nodes: int = MAX_NODES
     # certificate filters; they narrow what is emitted, never what is found
     require_fixed_point_free: bool = False
     require_irreducible: bool = False
@@ -70,8 +71,7 @@ class SearchConfig:
                 or self.require_irreducible)
 
 
-@dataclass(frozen=True)
-class LoopResult:
+class LoopResult(NamedTuple):
     sequence: tuple[SplitMove, ...]
     seed: TrainTrack
     final: TrainTrack
@@ -119,7 +119,7 @@ def _package(run: SplitRun, isos: tuple[TrackIso, ...], cfg: SearchConfig,
             if cert is None:
                 cert = certified[key] = certify(sm, tol=cfg.tolerance)
             else:
-                cert = replace(cert, map_name=sm.name)
+                cert = cert._replace(map_name=sm.name)
             if not _admits(cert, cfg):
                 continue
             certs.append(cert)

@@ -21,9 +21,8 @@ into the given track.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
@@ -31,8 +30,7 @@ from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
 from .words import Letter, Word, free_reduce, inverse
 
 
-@dataclass(frozen=True)
-class SplitMove:
+class SplitMove(NamedTuple):
     slid: End
     over: End
 
@@ -305,8 +303,7 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitRun:
+class SplitRun(NamedTuple):
     start: TrainTrack
     final: TrainTrack
     moves: tuple[SplitMove, ...]

@@ -15,8 +15,8 @@ exactly when the arriving and the departing end lie on the same side.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidTrack, NotOrientable, ParseError
 from .words import Letter, Word, is_label, min_rotation, word_key
@@ -70,8 +70,7 @@ def letter_from_departure(e: End) -> Letter:
     return (e[0], 1 if e[1] == "i" else -1)
 
 
-@dataclass(frozen=True, slots=True)
-class Switch:
+class Switch(NamedTuple):
     name: str
     side_a: tuple[End, ...]
     side_b: tuple[End, ...]
@@ -104,8 +103,7 @@ def side_profile(switches) -> tuple[int, ...]:
     return tuple(sorted(sizes))
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(NamedTuple):
     """One boundary circle of the fibered neighborhood, in canonical rotation.
 
     `cusps` holds junction indices: junction j sits just before letter j.
@@ -139,8 +137,11 @@ class BoundaryCurve:
         return len(self.cusps)
 
 
-@dataclass(frozen=True)
-class EulerData:
+# the stock _make, which _replace calls, checks len(): the word length here
+BoundaryCurve._make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class EulerData(NamedTuple):
     n_switches: int
     n_edges: int
     chi: int
@@ -163,15 +164,16 @@ def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
     return frozenset((lab, k) for lab in edges for k in ("i", "t"))
 
 
-@dataclass(frozen=True)
 class TrainTrack:
-    name: str
-    edges: tuple[str, ...]
-    switches: tuple[Switch, ...]
-    # optional declared boundary words, kept verbatim from input files
-    declared_boundaries: tuple[tuple[str, Word], ...] = field(default=())
+    """A track, checked by __init__, the only way to build one.  Its fields
+    cannot be set; cached_property stores the lookups without __setattr__.
+    `declared_boundaries` keeps boundary words verbatim from input files."""
 
-    def __post_init__(self):
+    def __init__(self, name: str, edges: tuple[str, ...],
+                 switches: tuple[Switch, ...],
+                 declared_boundaries: tuple[tuple[str, Word], ...] = ()):
+        self.__dict__.update(name=name, edges=edges, switches=switches,
+                             declared_boundaries=declared_boundaries)
         if not self.edges:
             raise InvalidTrack("a track needs at least one edge")
         for kind, name in (("track", self.name),
@@ -204,8 +206,21 @@ class TrainTrack:
                 bits.append("stray " + ", ".join(format_end(e) for e in extra))
             raise InvalidTrack("ends do not match edge list: " + "; ".join(bits))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TrainTrack is immutable: cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.name, self.edges, self.switches, self.declared_boundaries)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     # ------------------------------------------------------------------
-    # lookups (cached_property writes to __dict__, fine on frozen classes)
 
     @cached_property
     def switch_index(self) -> dict[str, int]:
@@ -392,8 +407,7 @@ def tracks_equal(a: TrainTrack, b: TrainTrack) -> bool:
 # isomorphisms
 
 
-@dataclass(frozen=True)
-class TrackIso:
+class TrackIso(NamedTuple):
     """Flip-free, orientation-preserving isomorphism: ends map
     kind-preservingly, (x,k) -> (f(x),k), and side orders are kept.
 
@@ -404,7 +418,7 @@ class TrackIso:
     label_map: tuple[tuple[str, str], ...]
     switch_map: tuple[tuple[str, str], ...]
 
-    @cached_property
+    @property
     def labels(self) -> dict[str, str]:
         return dict(self.label_map)
 

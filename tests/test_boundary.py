@@ -1,7 +1,6 @@
 """Boundary action and cusp-side dynamics of the atlas maps."""
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -182,8 +181,8 @@ def test_identity_on_a_cuspless_track_has_no_side_dynamics():
 def test_side_dynamics_rejects_an_action_that_does_not_fit(field, value, message):
     m = phi1()
     act = boundary_action(m)
-    bent = replace(act, curves=(replace(act.curves[0], **{field: value}),
-                                *act.curves[1:]))
+    bent = act._replace(curves=(act.curves[0]._replace(**{field: value}),
+                                 *act.curves[1:]))
     with pytest.raises(AlignmentError) as err:
         side_dynamics(m, bent)
     assert str(err.value) == message

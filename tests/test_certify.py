@@ -3,7 +3,6 @@
 import importlib
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -272,7 +271,7 @@ def test_brackets_past_the_int_str_digit_cap_render_exactly():
     cert = certify(phi2())
     lower = Fraction(10**5000 + 1, 3)
     upper = Fraction(10**5000 + 2, 3)  # a whole number
-    cert = replace(cert, perron=replace(cert.perron, lower=lower, upper=upper))
+    cert = cert._replace(perron=cert.perron._replace(lower=lower, upper=upper))
     want = "1" + "0" * 4999 + "1/3"
     assert f"dilatation: {cert.perron.value:.12f} in [{want}, " \
         in render_text(cert)

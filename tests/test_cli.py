@@ -24,6 +24,7 @@ from ttlab.cli import _COMMANDS, build_parser, main
 from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
 from ttlab.incidence import PerronData
 from ttlab.morphism import compose
+from ttlab.search import SearchConfig
 
 
 TWO_CIRCLES = """[track circles]
@@ -346,6 +347,21 @@ def test_search_loops_budget_and_bad_parameters(capsys):
         code, _, _ = run(capsys, "search", "loops", "atlas:tau_prime",
                          "--no-certify", *extra)
         assert code == 2
+
+
+def test_search_node_budget_defaults_to_50000(capsys, monkeypatch):
+    import ttlab.cli
+
+    seen, real = [], ttlab.cli.search_loops
+    monkeypatch.setattr(ttlab.cli, "search_loops",
+                        lambda seed, cfg: seen.append(cfg) or real(seed, cfg))
+    code, _, _ = run(capsys, "search", "loops", "atlas:tau_prime",
+                     "--depth", "1", "--no-certify")
+    assert code == 0
+    assert [cfg.max_nodes for cfg in seen] == [SearchConfig().max_nodes] == [50_000]
+    with pytest.raises(SystemExit):
+        main(["search", "loops", "--help"])
+    assert "(default 50000)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_dilatation_bracket_past_the_digit_cap(capsys, monkeypatch):
