@@ -165,15 +165,18 @@ def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
 
 
 class TrainTrack:
-    """A track, checked by __init__, the only way to build one.  Its fields
-    cannot be set; cached_property stores the lookups without __setattr__.
-    `declared_boundaries` keeps boundary words verbatim from input files."""
+    """A track, built only by __init__, which checks it in __post_init__.
+    Its fields cannot be set; cached_property stores the lookups without
+    __setattr__.  `declared_boundaries` keeps input boundary words verbatim."""
 
     def __init__(self, name: str, edges: tuple[str, ...],
                  switches: tuple[Switch, ...],
                  declared_boundaries: tuple[tuple[str, Word], ...] = ()):
         self.__dict__.update(name=name, edges=edges, switches=switches,
                              declared_boundaries=declared_boundaries)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
         if not self.edges:
             raise InvalidTrack("a track needs at least one edge")
         for kind, name in (("track", self.name),
@@ -197,13 +200,9 @@ class TrainTrack:
                     raise InvalidTrack(f"end {format_end(e)} placed twice")
                 placed[e] = sw.name
         if set(placed) != want:
-            missing = sorted(want - set(placed))
-            extra = sorted(set(placed) - want)
-            bits = []
-            if missing:
-                bits.append("missing " + ", ".join(format_end(e) for e in missing))
-            if extra:
-                bits.append("stray " + ", ".join(format_end(e) for e in extra))
+            bits = [f"{what} " + ", ".join(map(format_end, sorted(ends)))
+                    for what, ends in (("missing", want - set(placed)),
+                                       ("stray", set(placed) - want)) if ends]
             raise InvalidTrack("ends do not match edge list: " + "; ".join(bits))
 
     def __setattr__(self, name, value):
