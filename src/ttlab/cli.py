@@ -36,22 +36,23 @@ from .incidence import (
     incidence_matrix,
 )
 from .morphism import TrackMorphism, compose_chain
-from .search import MAX_NODES, SearchConfig, search_loops
+from .search import MAX_DEPTH, MAX_NODES, SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
 from .track import EulerData, TrainTrack, format_end, tracks_equal
 from .words import format_word
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(output, out: str | None) -> None:
+    """Print a command's output, to FILE for `--out FILE`: text as it is,
+    anything else as JSON, each ending in one newline."""
+    if not isinstance(output, str):
+        output = json.dumps(output, indent=2, sort_keys=True)
+    text = output if output.endswith("\n") else output + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+        sys.stdout.write(text)
 
 
 def _track_dict(t: TrainTrack) -> dict:
@@ -86,23 +87,18 @@ def _euler_dict(d: EulerData) -> dict:
 # track commands
 
 
-def cmd_track_validate(args) -> int:
+def cmd_track_validate(args):
     t = resolve_track(args.spec)
     data = t.validate()
     if args.json:
-        _emit_json({"ok": True, "name": t.name, **_euler_dict(data)}, args.out)
-    else:
-        _emit(
-            f"ok: {t.name} is a valid track "
+        return {"ok": True, "name": t.name, **_euler_dict(data)}
+    return (f"ok: {t.name} is a valid track "
             f"({data.n_edges} edges, {data.n_switches} switches, "
             f"chi = {data.chi}, genus = {data.genus}, "
-            f"{data.n_boundaries} boundary curves)",
-            args.out,
-        )
-    return 0
+            f"{data.n_boundaries} boundary curves)")
 
 
-def cmd_track_info(args) -> int:
+def cmd_track_info(args):
     t = resolve_track(args.spec)
     data = t.validate()
     moves = legal_splits(t)
@@ -111,8 +107,7 @@ def cmd_track_info(args) -> int:
         payload.update(_euler_dict(data))
         payload["legalSplits"] = [str(m) for m in moves]
         payload["sideProfile"] = list(t.side_profile)
-        _emit_json(payload, args.out)
-        return 0
+        return payload
     lines = [
         f"track {t.name}: {data.n_edges} edges, {data.n_switches} switches",
         f"chi = {data.chi}, boundary curves = {data.n_boundaries}, "
@@ -121,15 +116,14 @@ def cmd_track_info(args) -> int:
         f"coherently orientable: {'yes' if data.coherently_orientable else 'no'}",
         f"legal splits: {len(moves)}",
     ]
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_track_boundaries(args) -> int:
+def cmd_track_boundaries(args):
     t = resolve_track(args.spec)
     curves = t.boundary_curves
     if args.json:
-        payload = [
+        return [
             {
                 "word": format_word(c.word),
                 "cusps": list(c.cusps),
@@ -137,63 +131,49 @@ def cmd_track_boundaries(args) -> int:
             }
             for c in curves
         ]
-        _emit_json(payload, args.out)
-        return 0
     lines = []
     for idx, c in enumerate(curves):
         lines.append(f"curve {idx}: {format_word(c.word)}")
         lines.append(f"  cusps at {' '.join(str(p) for p in c.cusps)}"
                      f" ({c.n_cusps} total)")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_track_export_dot(args) -> int:
+def cmd_track_export_dot(args):
     t = resolve_track(args.spec)
-    _emit(track_to_dot(t), args.out)
-    return 0
+    return track_to_dot(t)
 
 
-def cmd_track_export(args) -> int:
+def cmd_track_export(args):
     t = resolve_track(args.spec)
-    _emit(dump_track(t), args.out)
-    return 0
+    return dump_track(t)
 
 
 # ----------------------------------------------------------------------
 # map commands
 
 
-def cmd_map_check(args) -> int:
+def cmd_map_check(args):
     m = resolve_map(args.spec)
     m.check()
     if args.json:
-        _emit_json(
-            {"ok": True, "name": m.name, "source": m.source.name,
-             "target": m.target.name, "selfMap": m.is_self_map},
-            args.out,
-        )
-    else:
-        _emit(f"ok: {m.name or 'map'} is cellular and smooth "
-              f"({m.source.name} -> {m.target.name})", args.out)
-    return 0
+        return {"ok": True, "name": m.name, "source": m.source.name,
+                "target": m.target.name, "selfMap": m.is_self_map}
+    return (f"ok: {m.name or 'map'} is cellular and smooth "
+            f"({m.source.name} -> {m.target.name})")
 
 
-def cmd_map_certify(args) -> int:
+def cmd_map_certify(args):
     m = resolve_map(args.spec)
     cert = certify(m, tol=args.tol)
-    if args.json:
-        _emit_json(to_json_dict(cert), args.out)
-    else:
-        _emit(render_text(cert), args.out)
+    output = to_json_dict(cert) if args.json else render_text(cert)
     if args.expect and cert.verdict != args.expect:
-        print(f"expected verdict {args.expect!r}, got {cert.verdict!r}",
-              file=sys.stderr)
-        return 3
-    return 0
+        return (output,
+                f"expected verdict {args.expect!r}, got {cert.verdict!r}", 3)
+    return output
 
 
-def cmd_map_dilatation(args) -> int:
+def cmd_map_dilatation(args):
     m = resolve_map(args.spec)
     check_tolerance(args.tol)  # exit 2 on a bad --tol, as certify does
     if not m.is_self_map:
@@ -201,40 +181,31 @@ def cmd_map_dilatation(args) -> int:
     mat = incidence_matrix(m)
     perron = dilatation(mat, tol=args.tol)
     if args.json:
-        _emit_json(
-            {
-                "value": perron.value,
-                "lower": fraction_text(perron.lower),
-                "upper": fraction_text(perron.upper),
-                "iterations": perron.iterations,
-                "weights": dict(zip(mat.rows, perron.weights)),
-            },
-            args.out,
-        )
-    else:
-        _emit(
-            f"dilatation = {perron.value:.12f}\n"
+        return {
+            "value": perron.value,
+            "lower": fraction_text(perron.lower),
+            "upper": fraction_text(perron.upper),
+            "iterations": perron.iterations,
+            "weights": dict(zip(mat.rows, perron.weights)),
+        }
+    return (f"dilatation = {perron.value:.12f}\n"
             f"certified bracket [{fraction_text(perron.lower)}, "
             f"{fraction_text(perron.upper)}] "
             f"(width {float(perron.width):.3e}, "
-            f"{perron.iterations} iterations)",
-            args.out,
-        )
-    return 0
+            f"{perron.iterations} iterations)")
 
 
-def cmd_map_compose(args) -> int:
+def cmd_map_compose(args):
     ms = [resolve_map(s) for s in args.specs]
     comp = compose_chain(ms)
-    _emit(dump_map(comp, name=args.name or comp.name or "composite"), args.out)
-    return 0
+    return dump_map(comp, name=args.name or comp.name or "composite")
 
 
-def cmd_map_boundaries(args) -> int:
+def cmd_map_boundaries(args):
     m = resolve_map(args.spec)
     action = boundary_action(m)
     if args.json:
-        payload = {
+        return {
             "curves": [
                 {
                     "source": ci.source_index,
@@ -247,8 +218,6 @@ def cmd_map_boundaries(args) -> int:
             ],
             "warnings": list(action.warnings),
         }
-        _emit_json(payload, args.out)
-        return 0
     lines = []
     for ci in action.curves:
         lines.append(
@@ -257,24 +226,21 @@ def cmd_map_boundaries(args) -> int:
         )
     for w in action.warnings:
         lines.append(f"warning: {w}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 # sequence commands
 
 
-def cmd_seq_parse(args) -> int:
+def cmd_seq_parse(args):
     moves = resolve_sequence(args.spec)
     if args.json:
-        _emit_json([str(m) for m in moves], args.out)
-    else:
-        _emit(f"{len(moves)} moves: {format_sequence(moves)}", args.out)
-    return 0
+        return [str(m) for m in moves]
+    return f"{len(moves)} moves: {format_sequence(moves)}"
 
 
-def cmd_seq_apply(args) -> int:
+def cmd_seq_apply(args):
     t = resolve_track(args.track)
     moves = resolve_sequence(args.spec)
     run = apply_sequence(t, moves)
@@ -282,89 +248,68 @@ def cmd_seq_apply(args) -> int:
     final = run.final.renamed("final")
     comp = TrackMorphism(final, start, run.morphism.images, name="composite")
     if args.json:
-        _emit_json(
-            {
-                "moves": len(moves),
-                "final": _track_dict(final),
-                "composite": {lab: format_word(w) for lab, w in comp.images},
-            },
-            args.out,
-        )
-        return 0
-    text = dump_track(start) + "\n" + dump_track(final) + "\n" + dump_map(comp)
-    _emit(text, args.out)
-    return 0
+        return {
+            "moves": len(moves),
+            "final": _track_dict(final),
+            "composite": {lab: format_word(w) for lab, w in comp.images},
+        }
+    return dump_track(start) + "\n" + dump_track(final) + "\n" + dump_map(comp)
 
 
 # ----------------------------------------------------------------------
 # atlas commands
 
 
-def cmd_atlas_list(args) -> int:
+def cmd_atlas_list(args):
     names = _atlas.atlas_names()
     if args.json:
-        _emit_json({n: _atlas.describe(n) for n in names}, args.out)
-        return 0
+        return {n: _atlas.describe(n) for n in names}
     width = max(len(n) for n in names)
-    _emit("\n".join(f"{n:<{width}}  {_atlas.describe(n)}" for n in names),
-          args.out)
-    return 0
+    return "\n".join(f"{n:<{width}}  {_atlas.describe(n)}" for n in names)
 
 
-def _export_entry(name: str, args) -> int:
+def cmd_atlas_export(args):
+    """`atlas export NAME`, and `atlas phi --n N` and `atlas psi --n N`,
+    which export phi:N and psi:N."""
+    name = (args.name if args.subcommand == "export"
+            else f"{args.subcommand}:{args.n}")
     kind, entry = _atlas.entry(name)
     if kind == "track":
-        _emit(dump_track(entry), args.out)
-    elif kind == "map":
+        return dump_track(entry)
+    if kind == "map":
         if args.json:
-            _emit_json(
-                {"name": entry.name, "source": entry.source.name,
-                 "target": entry.target.name,
-                 "images": {lab: format_word(w) for lab, w in entry.images}},
-                args.out,
-            )
-            return 0
+            return {"name": entry.name, "source": entry.source.name,
+                    "target": entry.target.name,
+                    "images": {lab: format_word(w) for lab, w in entry.images}}
         parts = [dump_track(entry.source)]
         if entry.target.name != entry.source.name:
             parts.append(dump_track(entry.target))
         parts.append(dump_map(entry))
-        _emit("\n".join(parts), args.out)
-    elif kind == "labels":
-        _emit("\n".join(f"{k} -> {v}" for k, v in sorted(entry.items())),
-              args.out)
-    elif kind == "word":
-        _emit(format_word(entry), args.out)
-    else:
-        _emit(dump_sequence(entry, name=name.replace(":", "_")), args.out)
-    return 0
+        return "\n".join(parts)
+    if kind == "labels":
+        return "\n".join(f"{k} -> {v}" for k, v in sorted(entry.items()))
+    if kind == "word":
+        return format_word(entry)
+    return dump_sequence(entry, name=name.replace(":", "_"))
 
 
-def cmd_atlas_export(args) -> int:
-    return _export_entry(args.name, args)
-
-
-def cmd_atlas_family(args) -> int:
-    """`atlas phi --n N` and `atlas psi --n N` export phi:N and psi:N."""
-    return _export_entry(f"{args.subcommand}:{args.n}", args)
-
-
-def cmd_atlas_reconstruct(args) -> int:
+def cmd_atlas_reconstruct(args):
     rebuilt = _atlas.reconstruct_base_track()
     stored = _atlas.base_track()
     same = tracks_equal(rebuilt, stored)
     if args.json:
-        _emit_json({"matches": same, "track": _track_dict(rebuilt)}, args.out)
+        output = {"matches": same, "track": _track_dict(rebuilt)}
     else:
         verdict = "matches" if same else "DIFFERS FROM"
-        _emit(f"reconstruction {verdict} the stored base track", args.out)
-    return 0 if same else 1
+        output = f"reconstruction {verdict} the stored base track"
+    return output, "", 0 if same else 1
 
 
 # ----------------------------------------------------------------------
 # search
 
 
-def cmd_search_loops(args) -> int:
+def cmd_search_loops(args):
     t = resolve_track(args.spec)
     cfg = SearchConfig(
         max_depth=args.depth,
@@ -375,8 +320,8 @@ def cmd_search_loops(args) -> int:
         require_irreducible=args.irreducible,
     )
     results = search_loops(t, cfg)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
         for idx, r in enumerate(results, start=1):
             stem = f"loop-{idx:03d}"
             parts = [dump_sequence(r.sequence, name=stem),
@@ -385,7 +330,7 @@ def cmd_search_loops(args) -> int:
                 parts.append(dump_map(sm, name=f"{stem}-self-{j}",
                                       source_ref="final",
                                       target_ref="final"))
-            with open(os.path.join(args.out, stem + ".tt"), "w",
+            with open(os.path.join(args.out_dir, stem + ".tt"), "w",
                       encoding="utf-8") as fh:
                 fh.write("\n".join(parts))
     if args.json:
@@ -403,8 +348,7 @@ def cmd_search_loops(args) -> int:
             if r.certificates:
                 entry["verdicts"] = [c.verdict for c in r.certificates]
             payload.append(entry)
-        _emit_json(payload, None)
-        return 0
+        return payload
     lines = [f"found {len(results)} loop(s) from {t.name} "
              f"at depth <= {args.depth}"]
     for idx, r in enumerate(results, start=1):
@@ -413,10 +357,9 @@ def cmd_search_loops(args) -> int:
         if r.certificates:
             bits += ", verdicts: " + ", ".join(c.verdict for c in r.certificates)
         lines.append(bits + "]")
-    if args.out:
-        lines.append(f"wrote {len(results)} file(s) under {args.out}")
-    _emit("\n".join(lines), None)
-    return 0
+    if args.out_dir:
+        lines.append(f"wrote {len(results)} file(s) under {args.out_dir}")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +372,6 @@ _COMMON = {
 }
 _TOL = {"--tol": {"type": float, "default": 1e-10,
                   "help": "certified bracket width (default 1e-10)"}}
-_SPEC = {"spec": {}}
 
 
 def _spec_for(what: str) -> dict:
@@ -449,11 +391,13 @@ _COMMANDS = (
         )]),
     ("map", "check, certify, and compose maps", [
         ("check", cmd_map_check, {**_spec_for("map"), **_COMMON}),
-        ("certify", cmd_map_certify, {**_SPEC, **_COMMON, **_TOL, "--expect": {
-            "choices": ["pA", "reducible", "inconclusive"],
-            "help": "exit 1 unless the verdict matches"}}),
-        ("dilatation", cmd_map_dilatation, {**_SPEC, **_COMMON, **_TOL}),
-        ("boundaries", cmd_map_boundaries, {**_SPEC, **_COMMON}),
+        ("certify", cmd_map_certify, {
+            **_spec_for("map"), **_COMMON, **_TOL, "--expect": {
+                "choices": ["pA", "reducible", "inconclusive"],
+                "help": "exit 3 unless the verdict matches"}}),
+        ("dilatation", cmd_map_dilatation,
+         {**_spec_for("map"), **_COMMON, **_TOL}),
+        ("boundaries", cmd_map_boundaries, {**_spec_for("map"), **_COMMON}),
         ("compose", cmd_map_compose, {
             "specs": {"nargs": "+", "help": "maps, outermost first"},
             "--name": {"help": "name for the composite"}, **_COMMON}),
@@ -468,17 +412,20 @@ _COMMANDS = (
         ("list", cmd_atlas_list, _COMMON),
         ("export", cmd_atlas_export, {
             "name": {"help": "catalogue entry, e.g. tau or phi:5"}, **_COMMON}),
-        ("phi", cmd_atlas_family, {
-            "--n": {"type": int, "required": True, "help": "odd map index"},
-            **_COMMON}),
-        ("psi", cmd_atlas_family, {"--n": {"type": int, "required": True},
-                                   **_COMMON}),
+        ("phi", cmd_atlas_export, {
+            "--n": {"type": int, "required": True,
+                    "help": "map index, odd or 2"}, **_COMMON}),
+        ("psi", cmd_atlas_export, {
+            "--n": {"type": int, "required": True,
+                    "help": "map index, 0 or more"}, **_COMMON}),
         ("reconstruct", cmd_atlas_reconstruct, _COMMON),
     ]),
     ("search", "enumerate splitting loops", [
         ("loops", cmd_search_loops, {
             "spec": {"help": "seed track"},
-            "--depth": {"type": int, "default": 4},
+            "--depth": {"type": int, "default": 4,
+                        "help": "most moves in a loop, 0 to "
+                                f"{MAX_DEPTH} (default 4)"},
             "--max-nodes": {"type": int, "default": MAX_NODES,
                             "help": "stop after expanding this many tracks, "
                                     "at least 1 (default "
@@ -491,7 +438,7 @@ _COMMANDS = (
                               "help": "emit only closures with irreducible "
                                       "matrix"},
             "--json": _COMMON["--json"],
-            "--out": {"metavar": "DIR",
+            "--out": {"metavar": "DIR", "dest": "out_dir",
                       "help": "write one result file per loop under DIR"},
             **_TOL}),
     ]),
@@ -524,16 +471,25 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a command and print what it returns: its output (text or a JSON
+    payload), or (output, note for stderr, exit code) when it may not exit
+    0.  Returns the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        output, note, code = (result if isinstance(result, tuple)
+                              else (result, "", 0))
+        _emit(output, getattr(args, "out", None))
     except (ParseError, UnknownEntry, BadIndex, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TrackError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    if note:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

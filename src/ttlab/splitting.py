@@ -272,32 +272,30 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     The result T satisfies apply_split(T, move) == (track, same morphism).
     Candidates put the slid end at either extremity of the side opposite
     the over end; the one that split_switches takes back to `track` wins.
+    At most one can: the move slides the first end on one candidate and the
+    last on the other, so it puts the slid end before the far end of the
+    over edge on one and after it on the other.
     """
     _check_ends(track, move)
     v, side_o, _ = track.end_site[move.over]
     opp = "B" if side_o == "A" else "A"  # the side opposite the over end
-    survivors = []
     sw = _switch(track, v)
     for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
             cand = TrainTrack(track.name, track.edges,
                               _moved(track, move.slid, v, opp, at)[0])
-            if split_switches(cand, move) == track.switches:
-                survivors.append(cand)
+            back = split_switches(cand, move)
         except (IllegalMove, InvalidTrack):
             continue
-    if not survivors:
-        raise IllegalMove(
-            f"cannot unsplit {move}: no track splits to the given one",
-            move=move, reason="not-foldable",
-        )
-    if len(survivors) > 1:
-        raise IllegalMove(f"unsplit {move} is ambiguous", move=move,
-                          reason="ambiguous")
-    cand = survivors[0]
-    return cand, TrackMorphism(track, cand, _images(track.edges, (move,)),
-                               name=str(move))
+        if back == track.switches:
+            return cand, TrackMorphism(track, cand,
+                                       _images(track.edges, (move,)),
+                                       name=str(move))
+    raise IllegalMove(
+        f"cannot unsplit {move}: no track splits to the given one",
+        move=move, reason="not-foldable",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,16 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidTrack, NotOrientable, ParseError
-from .words import Letter, Word, is_label, min_rotation, word_key
+from .words import (
+    Letter,
+    Word,
+    find_rotations,
+    format_word,
+    inverse,
+    is_label,
+    min_rotation,
+    word_key,
+)
 
 End = tuple[str, str]  # (edge label, "i" or "t")
 
@@ -167,7 +176,8 @@ def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
 class TrainTrack:
     """A track, built only by __init__, which checks it in __post_init__.
     Its fields cannot be set; cached_property stores the lookups without
-    __setattr__.  `declared_boundaries` keeps input boundary words verbatim."""
+    __setattr__.  `declared_boundaries` keeps input boundary words verbatim;
+    each must be a rotation of a traced curve's word or of its inverse."""
 
     def __init__(self, name: str, edges: tuple[str, ...],
                  switches: tuple[Switch, ...],
@@ -204,6 +214,11 @@ class TrainTrack:
                     for what, ends in (("missing", want - set(placed)),
                                        ("stray", set(placed) - want)) if ends]
             raise InvalidTrack("ends do not match edge list: " + "; ".join(bits))
+        for bname, w in self.declared_boundaries:  # none on a split track
+            if not any(find_rotations(v, c.word) for v in (w, inverse(w))
+                       for c in self.boundary_curves):
+                raise InvalidTrack(f"boundary {bname!r} = {format_word(w)} is "
+                                   "not a boundary curve in either direction")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a TrainTrack is immutable: cannot set {name!r}")

@@ -265,6 +265,27 @@ def test_inconclusive_when_the_boundary_action_is_unavailable():
     assert d["boundaryPeriodicPoints"] is None
 
 
+def test_periodic_swap_is_inconclusive():
+    # README's file-format track: one switch, curves a b, -a and -b
+    v1 = Switch("v1", (end("a", "t"), end("b", "i")),
+                (end("a", "i"), end("b", "t")))
+    x = TrainTrack("x", ("a", "b"), (v1,))
+    cert = certify(TrackMorphism(
+        x, x, {"a": parse_word("b"), "b": parse_word("a")}, name="swap"))
+    assert cert.irreducibility.irreducible
+    assert (cert.primitivity.primitive, cert.primitivity.bound) == (False, 2)
+    assert cert.perron is None and cert.sides is None
+    assert cert.verdict == "inconclusive"
+    assert cert.warnings == (
+        "matrix is irreducible but not primitive (periodic)",
+        "side dynamics unavailable: curve 1 has no cusps; side dynamics is "
+        "undefined",
+    )
+    assert cert.closed_reading == ("closed: not admissible, filling in a "
+                                   "boundary would leave a 0-pronged point")
+    assert "primitive: no (checked to 2)" in render_text(cert).splitlines()
+
+
 def test_brackets_past_the_int_str_digit_cap_render_exactly():
     # a numerator of 5,001 digits is past str()'s default cap of 4,300
     cap = sys.get_int_max_str_digits()

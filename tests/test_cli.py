@@ -537,3 +537,130 @@ def test_main_builds_arguments_for_the_named_command_only(capsys,
     with pytest.raises(SystemExit):
         lean.parse_args(["map", "certify", "atlas:phi2"])
     assert "unrecognized arguments: atlas:phi2" in capsys.readouterr().err
+
+
+# README's file-format track, and a self map of it whose boundary image
+# cancels unevenly at both cusps of curve 0
+TRACK_X = """[track x]
+edges = a b
+boundary outer = a b
+
+[switch v1]
+side_a = t(a) i(b)
+side_b = i(a) t(b)
+"""
+FOLD = "\n[map fold]\nsource = x\ntarget = x\na = b a -b\nb = -a a b\n"
+NO_OUTPUT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+# (exit code, SHA-256 of stdout, SHA-256 of stderr) of output forms no other
+# test pins; "{tmp}" stands for a directory whose fold.tt holds TRACK_X and
+# FOLD
+FROZEN_OUTPUT = [
+    (("track", "validate", "atlas:tau"), (0,
+     "669ab6035fa147370a14d98ed7acd8bf05c68165ccd5e6a956b365ca458073d5",
+     NO_OUTPUT)),
+    (("track", "validate", "atlas:tau", "--json"), (0,
+     "b33653d18b071498a374004942f6e87e408a2da5f2b8adbaf48460fcb126633a",
+     NO_OUTPUT)),
+    (("track", "info", "atlas:tau"), (0,
+     "22479b7064dae0c75a2c14bf7f7066620ac1f368b8d857bc24f1c6ae6d5b68a5",
+     NO_OUTPUT)),
+    (("track", "boundaries", "atlas:tau", "--json"), (0,
+     "35a6e156e1b2e39d8a810762c04a34853100c822ac8d61cf47d8108c97b186c5",
+     NO_OUTPUT)),
+    (("map", "check", "atlas:phi1", "--json"), (0,
+     "9aeca1d6257ebafddebcf6a60bf1dace6e8a32f10b3c4aa0be354b8af836e495",
+     NO_OUTPUT)),
+    (("map", "certify", "atlas:phi1", "--expect", "pA"), (3,
+     "47390d9a6022be537b0583d410a06f43c25766becf1f8436d2d6772132bae195",
+     "e84685f4332c3e3b2127f7a0542f2feaa0478453e13c8c083d7d204c4c0c08f8")),
+    (("map", "boundaries", "{tmp}/fold.tt", "--json"), (0,
+     "d6142db75359778d78da72b073c4c7414f68ee65e2c9049f554e27f445ca4023",
+     NO_OUTPUT)),
+    (("map", "boundaries", "{tmp}/fold.tt"), (0,
+     "3df8488299e2681a0fd77454a5b7c57ffb673554dcbbe7999d3545495b22a82a",
+     NO_OUTPUT)),
+    (("seq", "parse", "atlas:s1", "--json"), (0,
+     "87643a6c073ff657ec15defed428c0aacbb336b23462c54c5e837c1546564944",
+     NO_OUTPUT)),
+    (("seq", "apply", "atlas:tau_initial", "atlas:s1"), (0,
+     "a608b0f9f02a08030d8edc919e6ac500a171ce255d530bc936994143af66c14f",
+     NO_OUTPUT)),
+    (("atlas", "reconstruct", "--json"), (0,
+     "7bca7c6518caf72fd8d092c5bc1df1e8fd18b122ee0283d529efaf29882cec05",
+     NO_OUTPUT)),
+    (("search", "loops", "atlas:tau_prime", "--depth", "4", "--json"), (0,
+     "bd5a469b6e96b2051bd92548756c16cf9813a8932b1a96373fb97255a2b369b5",
+     NO_OUTPUT)),
+    (("search", "loops", "atlas:tau_prime", "--depth", "4"), (0,
+     "726fe0dd6fff5d5c91218c85bf628ba50fb85be58c3852787f246d407cf3edc0",
+     NO_OUTPUT)),
+    # --out DIR is a directory of loop files, never the stdout of --json
+    (("search", "loops", "atlas:tau_prime", "--depth", "4", "--json",
+      "--out", "{tmp}/loops"), (0,
+     "bd5a469b6e96b2051bd92548756c16cf9813a8932b1a96373fb97255a2b369b5",
+     NO_OUTPUT)),
+]
+
+
+@pytest.mark.parametrize("argv, frozen", FROZEN_OUTPUT,
+                         ids=[" ".join(argv) for argv, _ in FROZEN_OUTPUT])
+def test_output_forms_are_frozen(capsys, tmp_path, argv, frozen):
+    (tmp_path / "fold.tt").write_text(TRACK_X + FOLD)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, *(hashlib.sha256(s.encode()).hexdigest()
+                    for s in (out, err))) == frozen
+
+
+@pytest.mark.parametrize("extra, frozen", [
+    ((), "d39dcbac629b62e69e75ee94c1cb56d2dd3ac1a81696fda29ec836a4e5d43aaf"),
+    (("--json",),
+     "abe84e915c7ddb1790c925dbd09ba2be9d516d8ae74ddb98ad21c311269eba4c"),
+])
+def test_atlas_reconstruct_reports_a_mismatch(capsys, monkeypatch, extra,
+                                              frozen):
+    monkeypatch.setattr("ttlab.atlas.reconstruct_base_track", twisted_track)
+    code, out, err = run(capsys, "atlas", "reconstruct", *extra)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == frozen
+    assert ("DIFFERS FROM" in out) == (not extra)
+
+
+@pytest.mark.parametrize("argv", [
+    ("track", "validate", "atlas:tau"),
+    ("track", "export", "atlas:tau"),
+    ("map", "certify", "atlas:phi2", "--json"),
+    ("map", "certify", "atlas:phi1", "--expect", "pA"),
+    ("atlas", "reconstruct"),
+], ids=" ".join)
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    f = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(f)) == (code, "", err)
+    assert f.read_text() == out
+
+
+def test_unwritable_out_file_is_bad_input(capsys, tmp_path):
+    f = tmp_path / "no" / "such" / "dir.txt"
+    code, out, err = run(capsys, "track", "validate", "atlas:tau",
+                         "--out", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_declared_boundary_must_be_traced(capsys, tmp_path):
+    f = tmp_path / "x.tt"
+    f.write_text(TRACK_X.replace("outer = a b", "outer = b b a -b"))
+    assert run(capsys, "track", "validate", str(f)) == (
+        2, "", "error: line 1: track 'x': boundary 'outer' = b b a -b is not "
+        "a boundary curve in either direction\n")
+
+
+def test_every_argument_has_help(capsys):
+    for group, _, commands in _COMMANDS:
+        for name, _, arguments in commands:
+            assert all("help" in kw for kw in arguments.values()), (group, name)
+    with pytest.raises(SystemExit):
+        main(["map", "certify", "--help"])
+    assert "exit 3 unless the verdict matches" in capsys.readouterr().out

@@ -25,7 +25,7 @@ from ttlab.morphism import (
     power,
     relabel_morphism,
 )
-from ttlab.track import isomorphisms
+from ttlab.track import Switch, TrainTrack, end, isomorphisms
 from ttlab.words import format_word, parse_word
 
 
@@ -129,6 +129,34 @@ def test_morphism_requires_edge_paths():
     images["a"] = parse_word("b c")
     with pytest.raises(InvalidMorphism):
         TrackMorphism(t, t, images).check()
+
+
+@pytest.mark.parametrize("word, reason", [
+    ("a -a", "image of 'a' is not reduced"),
+    ("a -c", "image of 'a' has an illegal (cusped) turn at t(a) | t(c)"),
+    ("-e", "side of switch 'v1' departs on two sides of 'v1'"),
+])
+def test_morphism_check_names_the_failure(word, reason):
+    t = base_track()
+    images = {lab: parse_word(lab) for lab in t.edges}
+    images["a"] = parse_word(word)
+    m = TrackMorphism(t, t, images)
+    with pytest.raises(InvalidMorphism) as exc:
+        m.check()
+    assert str(exc.value) == reason
+    assert not m.is_smooth()
+
+
+def test_morphism_must_not_fold_a_switch_onto_one_side():
+    # a circle through two valence-2 switches; b -> a^-1 turns back at v
+    v = Switch("v", (end("a", "t"),), (end("b", "i"),))
+    w = Switch("w", (end("b", "t"),), (end("a", "i"),))
+    t = TrainTrack("circle", ("a", "b"), (v, w))
+    m = TrackMorphism(t, t, {"a": parse_word("a"), "b": parse_word("-a")})
+    with pytest.raises(InvalidMorphism) as exc:
+        m.check()
+    assert str(exc.value) == "both sides of switch 'v' depart on side A of 'v'"
+    assert not m.is_smooth()
 
 
 def test_morphism_images_name_only_target_edges():

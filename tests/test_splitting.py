@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from test_words import join
 
 from ttlab.atlas import base_track, initial_track, s1_moves, twisted_track
-from ttlab.errors import IllegalMove, ParseError
+from ttlab.errors import IllegalMove, InvalidTrack, ParseError
 from ttlab.incidence import incidence_matrix, mat_mult
 from ttlab.morphism import compose, identity_morphism
 from ttlab.splitting import (
     SplitMove,
     _Layout,
+    _moved,
     _reject,
     _split,
     apply_sequence,
@@ -165,6 +166,34 @@ def test_unsplit_inverts_every_legal_split():
         child, _ = apply_split(t, mv)
         back, _ = unsplit(child, mv)
         assert tracks_equal(back, t)
+
+
+def test_unsplit_candidates_never_split_to_one_track():
+    # unsplit puts the slid end first or last on the side opposite the over
+    # end; the move slides the first end on one candidate and the last on
+    # the other, so their splits put the slid end on either side of the far
+    # end of the over edge, and unsplit never has two tracks to choose from.
+    # Both candidates are legal only when the over end is alone on its side.
+    both = 0
+    for seed in (base_track(), initial_track(), twisted_track()):
+        for t in [seed] + [apply_split(seed, mv)[0] for mv in legal_splits(seed)]:
+            for over, (v, side_o, _) in t.end_site.items():
+                sw = t.switches[t.switch_index[v]]
+                if len(sw.side_a if side_o == "A" else sw.side_b) > 1:
+                    continue
+                opp = "B" if side_o == "A" else "A"
+                for slid in t.end_site:
+                    mv, splits = SplitMove(slid, over), []
+                    for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
+                        try:
+                            cand = TrainTrack(t.name, t.edges,
+                                              _moved(t, slid, v, opp, at)[0])
+                            splits.append(split_switches(cand, mv))
+                        except (IllegalMove, InvalidTrack):
+                            continue
+                    assert len(set(splits)) == len(splits)
+                    both += len(splits) == 2
+    assert both > 1000
 
 
 def test_unsplit_rejects_unfoldable_and_unknown_ends():

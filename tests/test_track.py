@@ -32,7 +32,13 @@ from ttlab.track import (
     isomorphisms,
     tracks_equal,
 )
-from ttlab.words import inverse, min_rotation, parse_word, word_key
+from ttlab.words import (
+    find_rotations,
+    inverse,
+    min_rotation,
+    parse_word,
+    word_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +429,24 @@ def test_disconnected_track_fails_validation():
     )
     with pytest.raises(InvalidTrack, match="not connected"):
         t.validate()
+
+
+def test_declared_boundaries_must_be_traced_curves():
+    # tau's d1 is a rotation of a traced word, d2 of an inverse; tau_prime
+    # likewise
+    for t in (base_track(), twisted_track()):
+        ways = {n: [any(find_rotations(v, c.word) for c in t.boundary_curves)
+                    for v in (w, inverse(w))]
+                for n, w in t.declared_boundaries}
+        assert ways == {"d1": [True, False], "d2": [False, True]}
+    x = (Switch("v1", (end("a", "t"), end("b", "i")),
+                (end("a", "i"), end("b", "t"))),)
+    for word in ("a b", "b a", "-b -a", "-a", "b"):
+        TrainTrack("x", ("a", "b"), x, (("outer", parse_word(word)),))
+    # the traced curves are a b, -a and -b
+    for word in ("b b a -b", "a -b", "a a"):
+        with pytest.raises(InvalidTrack, match="not a boundary curve"):
+            TrainTrack("x", ("a", "b"), x, (("outer", parse_word(word)),))
 
 
 def test_track_needs_an_edge():
