@@ -217,11 +217,12 @@ def render_text(cert: Certificate) -> str:
         )
     if cert.boundary is not None:
         for ci in cert.boundary.curves:
-            lines.append(
-                f"boundary {ci.source_index} -> {ci.target_index}, rotation "
-                f"{ci.rotation} letters, cusp shift {ci.cusp_shift}, fold depths "
-                + " ".join(str(d) for d in ci.fold_depths)
-            )
+            shift = ("no cusp shift" if ci.cusp_shift is None
+                     else f"cusp shift {ci.cusp_shift}")
+            folds = "".join(f" {d}" for d in ci.fold_depths)  # one per cusp
+            lines.append(f"boundary {ci.source_index} -> {ci.target_index}, "
+                         f"rotation {ci.rotation} letters, {shift}"
+                         + (f", fold depths{folds}" if folds else ""))
     if cert.sides is not None:
         for orbit in cert.sides.orbits:
             path = " -> ".join(f"{c}.{s}" for c, s in orbit.sides)

@@ -218,14 +218,11 @@ def cmd_map_boundaries(args):
             ],
             "warnings": list(action.warnings),
         }
-    lines = []
-    for ci in action.curves:
-        lines.append(
-            f"curve {ci.source_index} -> curve {ci.target_index}, "
-            f"rotation {ci.rotation}, cusp shift {ci.cusp_shift}"
-        )
-    for w in action.warnings:
-        lines.append(f"warning: {w}")
+    lines = [f"curve {ci.source_index} -> curve {ci.target_index}, rotation "
+             f"{ci.rotation}, " + ("no cusp shift" if ci.cusp_shift is None
+                                   else f"cusp shift {ci.cusp_shift}")
+             for ci in action.curves]
+    lines += [f"warning: {w}" for w in action.warnings]
     return "\n".join(lines)
 
 
@@ -314,7 +311,6 @@ def cmd_search_loops(args):
     cfg = SearchConfig(
         max_depth=args.depth,
         certify=not args.no_certify,
-        tolerance=args.tol,
         max_nodes=args.max_nodes,
         require_fixed_point_free=args.fpf,
         require_irreducible=args.irreducible,
@@ -439,8 +435,7 @@ _COMMANDS = (
                                       "matrix"},
             "--json": _COMMON["--json"],
             "--out": {"metavar": "DIR", "dest": "out_dir",
-                      "help": "write one result file per loop under DIR"},
-            **_TOL}),
+                      "help": "write one result file per loop under DIR"}}),
     ]),
 )
 

@@ -84,9 +84,9 @@ class TrackMorphism:
     def switch_images(self) -> dict[str, str]:
         """Induced switch map; raises InvalidMorphism when ends disagree."""
         out: dict[str, str] = {}
-        tsite = self.target.end_site
+        switch_of = self.target.switch_of
         for sw in self.source.switches:
-            hits = {tsite[self._image_direction(e)][0] for e in sw.ends}
+            hits = {switch_of(self._image_direction(e)) for e in sw.ends}
             if len(hits) != 1:
                 raise InvalidMorphism(
                     f"ends of switch {sw.name!r} map to different switches: "

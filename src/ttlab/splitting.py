@@ -21,13 +21,12 @@ into the given track.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import NamedTuple, NoReturn
 
 from .errors import IllegalMove, InvalidTrack, ParseError
 from .morphism import TrackMorphism
 from .track import End, Switch, TrainTrack, flip_end, format_end, parse_end
-from .words import Letter, Word, free_reduce, inverse
+from .words import Word, free_reduce, inverse
 
 
 class SplitMove(NamedTuple):
@@ -85,19 +84,18 @@ _Runs = tuple[tuple[int, str, int], ...]  # (switch position, side, first)
 
 
 class _Layout:
-    """The switches, end sites and switch positions of a track, which is
-    all the split kernel reads of it.  Splitting keeps switch names and
-    order, so `switch_index` serves a whole run.  A legal move takes an end
-    from a side that keeps another and puts it back on a side, so it keeps
-    all that TrainTrack validates: a run of moves needs a TrainTrack only
-    where a caller does.  A move re-sites only the ends it shifts (_moved)."""
+    """The switches and end sites of a track, which is all the split kernel
+    reads of it.  A site holds its switch's position, which splitting keeps,
+    so no name is looked up along a run.  A legal move takes an end from a
+    side that keeps another and puts it back on a side, so it keeps all
+    that TrainTrack validates: a run of moves needs a TrainTrack only where
+    a caller does.  A move re-sites only the ends it shifts (_moved)."""
 
-    __slots__ = ("switches", "end_site", "switch_index")
+    __slots__ = ("switches", "end_site")
 
     def __init__(self, track):
         self.switches = track.switches
         self.end_site = dict(track.end_site)
-        self.switch_index = track.switch_index
 
     def split(self, switches: tuple[Switch, ...], shifted: _Runs) -> None:
         """Take on `switches`; each end whose site moved is in a run of
@@ -108,11 +106,7 @@ class _Layout:
             sw = switches[k]
             ends = sw.side_a if side == "A" else sw.side_b
             for i in range(first, len(ends)):
-                site[ends[i]] = (sw.name, side, i)
-
-
-def _switch(track, name: str) -> Switch:
-    return track.switches[track.switch_index[name]]
+                site[ends[i]] = (k, side, i)
 
 
 def _extremity(track, move: SplitMove) -> bool | None:
@@ -122,8 +116,8 @@ def _extremity(track, move: SplitMove) -> bool | None:
     site = track.end_site.get(move.slid)
     if site is None or move.slid[0] == move.over[0]:
         return None
-    v, side, idx = site
-    sw = track.switches[track.switch_index[v]]
+    k, side, idx = site
+    sw = track.switches[k]
     own, other = (sw.side_a, sw.side_b) if side == "A" else (sw.side_b, sw.side_a)
     last = idx == len(own) - 1
     if (len(own) > 1 and len(own) + len(other) >= 4 and (last or idx == 0)
@@ -143,19 +137,19 @@ def _check_ends(track: TrainTrack, move: SplitMove) -> None:
 def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
     """Raise IllegalMove saying why `move` is not legal on `track`."""
     _check_ends(track, move)
-    site = track.end_site
-    vs, side_s, _ = site[move.slid]
-    vo, side_o, _ = site[move.over]
+    ks, side_s, _ = track.end_site[move.slid]
+    ko, side_o, _ = track.end_site[move.over]
+    sw = track.switches[ks]
+    vs, vo = sw.name, track.switches[ko].name
     if move.slid[0] == move.over[0]:
         raise IllegalMove(f"{move}: cannot slide an edge over itself", move=move,
                           reason="same-edge")
-    if vs != vo:
+    if ks != ko:
         raise IllegalMove(f"{move}: ends sit at different switches {vs}, {vo}",
                           move=move, reason="different-switches")
     if side_s == side_o:
         raise IllegalMove(f"{move}: ends sit on the same side", move=move,
                           reason="same-side")
-    sw = _switch(track, vs)
     if sw.valence < 4:
         raise IllegalMove(f"{move}: switch {vs} has valence {sw.valence} < 4",
                           move=move, reason="valence")
@@ -179,15 +173,14 @@ def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
                          for slid, over in _moves_at(sw)), key=str))
 
 
-def _moved(track, e: End, dest: str, side: str,
+def _moved(track, e: End, d: int, side: str,
            at: int) -> tuple[tuple[Switch, ...], _Runs]:
     """The switches of `track` with end `e` moved to index `at` of side
-    `side` of switch `dest`, counted once `e` has left (past the end: last),
-    and the runs of ends whose sites that shifts: from where `e` left its
-    side and from where it joined one, to the side's end.  Switches the
-    edit leaves alone are the original objects."""
-    src, side_e, idx = track.end_site[e]
-    s, d = track.switch_index[src], track.switch_index[dest]
+    `side` of the switch at position `d`, counted once `e` has left (past
+    the end: last), and the runs of ends whose sites that shifts: from
+    where `e` left its side and from where it joined one, to the side's
+    end.  Switches the edit leaves alone are the original objects."""
+    s, side_e, idx = track.end_site[e]
     switches = list(track.switches)
     sw = switches[s]
     a, b = sw.side_a, sw.side_b
@@ -236,18 +229,12 @@ def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
     return _split(track, move)[0]
 
 
-@lru_cache(maxsize=64)
-def _letters(edges: tuple[str, ...]) -> tuple[Letter, ...]:
-    """Each edge's positive letter, shared by every run on `edges`."""
-    return tuple((lab, 1) for lab in edges)
-
-
 def _images(edges: tuple[str, ...], moves) -> dict[str, Word]:
     """The edge images of the morphism of a run of legal `moves`.  A move
     turns the slid edge's image x into x r or r^-1 x: it gains the letters
     of r's image at its end, or of r^-1's at its start, so a run copies
     each letter of its result once; the seams are reduced at the end."""
-    images = {lt[0]: deque((lt,)) for lt in _letters(tuple(edges))}
+    images = {lab: deque(((lab, 1),)) for lab in edges}
     for (x, kind), (y, over) in ((mv.slid, mv.over) for mv in moves):
         ride = images[y]  # the image of r when r = y (over i(y)), else of r^-1
         if kind == "t":
@@ -277,14 +264,14 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     over edge on one and after it on the other.
     """
     _check_ends(track, move)
-    v, side_o, _ = track.end_site[move.over]
+    k, side_o, _ = track.end_site[move.over]
     opp = "B" if side_o == "A" else "A"  # the side opposite the over end
-    sw = _switch(track, v)
+    sw = track.switches[k]
     for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
             cand = TrainTrack(track.name, track.edges,
-                              _moved(track, move.slid, v, opp, at)[0])
+                              _moved(track, move.slid, k, opp, at)[0])
             back = split_switches(cand, move)
         except (IllegalMove, InvalidTrack):
             continue

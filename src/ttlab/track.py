@@ -122,9 +122,6 @@ class BoundaryCurve(NamedTuple):
     word: Word
     cusps: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     @property
     def sides(self) -> tuple[Word, ...]:
         """Arcs between consecutive cusps, in cusp order."""
@@ -144,10 +141,6 @@ class BoundaryCurve(NamedTuple):
     @property
     def n_cusps(self) -> int:
         return len(self.cusps)
-
-
-# the stock _make, which _replace calls, checks len(): the word length here
-BoundaryCurve._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class EulerData(NamedTuple):
@@ -237,19 +230,15 @@ class TrainTrack:
     # ------------------------------------------------------------------
 
     @cached_property
-    def switch_index(self) -> dict[str, int]:
-        """switch name -> position in `switches`."""
-        return {sw.name: k for k, sw in enumerate(self.switches)}
-
-    @cached_property
-    def end_site(self) -> dict[End, tuple[str, str, int]]:
-        """end -> (switch name, side letter, index within the side)."""
-        site: dict[End, tuple[str, str, int]] = {}
-        for sw in self.switches:
+    def end_site(self) -> dict[End, tuple[int, str, int]]:
+        """end -> (switch position, side letter, index within the side);
+        splitting keeps switch order, so a position holds along a run."""
+        site: dict[End, tuple[int, str, int]] = {}
+        for k, sw in enumerate(self.switches):
             for i, e in enumerate(sw.side_a):
-                site[e] = (sw.name, "A", i)
+                site[e] = (k, "A", i)
             for i, e in enumerate(sw.side_b):
-                site[e] = (sw.name, "B", i)
+                site[e] = (k, "B", i)
         return site
 
     @cached_property
@@ -269,7 +258,7 @@ class TrainTrack:
         return side_profile(self.switches)
 
     def switch_of(self, e: End) -> str:
-        return self.end_site[e][0]
+        return self.switches[self.end_site[e][0]].name
 
     # ------------------------------------------------------------------
     # boundary tracing
@@ -338,7 +327,7 @@ class TrainTrack:
             chi=chi,
             n_boundaries=b,
             genus=(2 - b - chi) // 2,
-            total_boundary_length=sum(len(c) for c in curves),
+            total_boundary_length=sum(len(c.word) for c in curves),
             cusp_counts=tuple(c.n_cusps for c in curves),
             coherently_orientable=orientable,
         )
@@ -362,8 +351,8 @@ class TrainTrack:
             while todo:
                 lab = todo.pop()
                 for kind in "it":
-                    name, side, _ = self.end_site[(lab, kind)]
-                    sw = self.switches[self.switch_index[name]]
+                    k, side, _ = self.end_site[(lab, kind)]
+                    sw = self.switches[k]
                     arrives = (kind == "t") ^ flip[lab]
                     for other, ends in (("A", sw.side_a), ("B", sw.side_b)):
                         # ends on one side agree, the two sides differ
@@ -483,7 +472,7 @@ def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
         if start is None:
             found.append(TrackIso(
                 tuple(sorted((e[0], d[0]) for e, d in fmap.items() if e[1] == "i")),
-                tuple(sorted({s_site[e][0]: d_site[d][0]
+                tuple(sorted({src.switch_of(e): dst.switch_of(d)
                               for e, d in fmap.items()}.items())),
             ))
             return

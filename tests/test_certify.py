@@ -283,7 +283,10 @@ def test_periodic_swap_is_inconclusive():
     )
     assert cert.closed_reading == ("closed: not admissible, filling in a "
                                    "boundary would leave a 0-pronged point")
-    assert "primitive: no (checked to 2)" in render_text(cert).splitlines()
+    lines = render_text(cert).splitlines()
+    assert "primitive: no (checked to 2)" in lines
+    # a cuspless curve has no cusp shift and no fold depths
+    assert "boundary 1 -> 2, rotation 0 letters, no cusp shift" in lines
 
 
 def test_brackets_past_the_int_str_digit_cap_render_exactly():

@@ -341,12 +341,16 @@ def test_search_loops_budget_and_bad_parameters(capsys):
                        "--depth", "30", "--no-certify", "--max-nodes", "200")
     assert code == 1
     assert "expanded more than 200 tracks" in err
-    for extra in (["--depth", "1", "--tol", "nan"], ["--depth", "-1"],
+    for extra in (["--depth", "-1"],
                   ["--depth", "2", "--max-nodes", "0"],
                   ["--depth", "2", "--max-nodes", "-5"]):
         code, _, _ = run(capsys, "search", "loops", "atlas:tau_prime",
                          "--no-certify", *extra)
         assert code == 2
+    # verdicts never read the Perron bracket, so the search takes no --tol
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "loops", "atlas:tau_prime", "--tol", "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_search_node_budget_defaults_to_50000(capsys, monkeypatch):
@@ -557,6 +561,9 @@ NO_OUTPUT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # test pins; "{tmp}" stands for a directory whose fold.tt holds TRACK_X and
 # FOLD
 FROZEN_OUTPUT = [
+    (("track", "export-dot", "atlas:tau"), (0,
+     "d38e9a5be9de9dbecf305bc2aff00f0c668309a094ecade534828c54fa1d564b",
+     NO_OUTPUT)),
     (("track", "validate", "atlas:tau"), (0,
      "669ab6035fa147370a14d98ed7acd8bf05c68165ccd5e6a956b365ca458073d5",
      NO_OUTPUT)),
@@ -579,7 +586,7 @@ FROZEN_OUTPUT = [
      "d6142db75359778d78da72b073c4c7414f68ee65e2c9049f554e27f445ca4023",
      NO_OUTPUT)),
     (("map", "boundaries", "{tmp}/fold.tt"), (0,
-     "3df8488299e2681a0fd77454a5b7c57ffb673554dcbbe7999d3545495b22a82a",
+     "72922fc52209578bf444b377a7593d61ea235cc69ff53c86fd3968b3bba93bb7",
      NO_OUTPUT)),
     (("seq", "parse", "atlas:s1", "--json"), (0,
      "87643a6c073ff657ec15defed428c0aacbb336b23462c54c5e837c1546564944",

@@ -173,7 +173,8 @@ def test_morphism_endpoints_must_match():
     images["a"], images["b"] = images["b"], images["a"]
     # a and b do not share endpoints switch-for-switch, so swapping them
     # breaks the vertex map consistency
-    with pytest.raises(InvalidMorphism):
+    with pytest.raises(InvalidMorphism, match=r"^ends of switch 'v1' map to "
+                       r"different switches: v1, v3$"):
         TrackMorphism(t, t, images).check()
 
 

@@ -63,7 +63,7 @@ def test_records_keep_their_value_semantics():
     with pytest.raises(InvalidTrack):
         track.renamed("bad name")
     for curve in track.boundary_curves:
-        assert len(curve) == len(curve.word) == 12
+        assert len(curve.word) == 12
 
 
 def test_replace_changes_only_the_named_field():
@@ -71,7 +71,6 @@ def test_replace_changes_only_the_named_field():
     renamed = cert._replace(map_name="x")
     assert renamed.map_name == "x" and cert.map_name == "phi2"
     assert renamed._replace(map_name="phi2") == cert
-    # a curve's len() is its word length, not its field count
     curve = atlas.base_track().boundary_curves[0]
     assert curve._replace(cusps=(0,)) == (curve.word, (0,))
 

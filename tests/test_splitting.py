@@ -178,7 +178,7 @@ def test_unsplit_candidates_never_split_to_one_track():
     for seed in (base_track(), initial_track(), twisted_track()):
         for t in [seed] + [apply_split(seed, mv)[0] for mv in legal_splits(seed)]:
             for over, (v, side_o, _) in t.end_site.items():
-                sw = t.switches[t.switch_index[v]]
+                sw = t.switches[v]
                 if len(sw.side_a if side_o == "A" else sw.side_b) > 1:
                     continue
                 opp = "B" if side_o == "A" else "A"
@@ -355,7 +355,6 @@ def test_layout_sites_match_the_built_track(start, picks):
         layout.split(*_split(layout, options[pick % len(options)]))
         built = TrainTrack(t0.name, t0.edges, layout.switches)
         assert layout.end_site == built.end_site
-        assert layout.switch_index == built.switch_index
     assert t0.end_site == sites  # the start's own sites stay put
 
 
@@ -437,14 +436,13 @@ def _reference_split(track, move):
     site = track.end_site.get(move.slid)
     cases = [] if site is None else [
         case for slid, over, case in _reference_moves_at(
-            track.switches[track.switch_index[site[0]]])
+            track.switches[site[0]])
         if (slid, over) == (move.slid, move.over)]
     if not cases:
         _reject(track, move)
     far = flip_end(move.over)
-    w, side_f, _ = track.end_site[far]
-    src, side_e, idx = site
-    s, d = track.switch_index[src], track.switch_index[w]
+    d, side_f, _ = track.end_site[far]
+    s, side_e, idx = site
     switches = list(track.switches)
     sides = {k: (list(switches[k].side_a), list(switches[k].side_b))
              for k in (s, d)}
@@ -478,7 +476,7 @@ def _kernel_step(layout, mv):
         sw = switches[k]
         for side, ends in (("A", sw.side_a), ("B", sw.side_b)):
             for i, e in enumerate(ends):
-                sites[e] = (sw.name, side, i)
+                sites[e] = (k, side, i)
     assert child.end_site == sites
     return child
 

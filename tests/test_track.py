@@ -315,7 +315,7 @@ def _assert_ribbon_invariants(track):
     check it.  If a change to construction breaks one, this fails."""
     curves = track.boundary_curves
     # the trace departs from every end exactly once
-    assert sum(len(c) for c in curves) == 2 * len(track.edges)
+    assert sum(len(c.word) for c in curves) == 2 * len(track.edges)
     # the ribbon cycle A + reversed(B) has (|A| - 1) + (|B| - 1) junctions
     # that stay on one side
     assert sum(c.n_cusps for c in curves) == sum(
