@@ -362,10 +362,9 @@ def cmd_search_loops(args):
 # parser
 
 
-_COMMON = {
-    "--json": {"action": "store_true", "help": "JSON output"},
-    "--out": {"metavar": "FILE", "help": "write output to FILE"},
-}
+_JSON = {"--json": {"action": "store_true", "help": "JSON output"}}
+_OUT = {"--out": {"metavar": "FILE", "help": "write output to FILE"}}
+_COMMON = {**_JSON, **_OUT}
 _TOL = {"--tol": {"type": float, "default": 1e-10,
                   "help": "certified bracket width (default 1e-10)"}}
 
@@ -378,12 +377,12 @@ def _spec_for(what: str) -> dict:
 # as flag -> add_argument keywords, in the order they are added
 _COMMANDS = (
     ("track", "inspect and validate tracks", [
-        (name, fn, {**_spec_for("track"), **_COMMON}) for name, fn in (
-            ("validate", cmd_track_validate),
-            ("info", cmd_track_info),
-            ("boundaries", cmd_track_boundaries),
-            ("export", cmd_track_export),
-            ("export-dot", cmd_track_export_dot),
+        (name, fn, {**_spec_for("track"), **flags}) for name, fn, flags in (
+            ("validate", cmd_track_validate, _COMMON),
+            ("info", cmd_track_info, _COMMON),
+            ("boundaries", cmd_track_boundaries, _COMMON),
+            ("export", cmd_track_export, _OUT),  # a document: no --json
+            ("export-dot", cmd_track_export_dot, _OUT),
         )]),
     ("map", "check, certify, and compose maps", [
         ("check", cmd_map_check, {**_spec_for("map"), **_COMMON}),
@@ -396,7 +395,7 @@ _COMMANDS = (
         ("boundaries", cmd_map_boundaries, {**_spec_for("map"), **_COMMON}),
         ("compose", cmd_map_compose, {
             "specs": {"nargs": "+", "help": "maps, outermost first"},
-            "--name": {"help": "name for the composite"}, **_COMMON}),
+            "--name": {"help": "name for the composite"}, **_OUT}),
     ]),
     ("seq", "parse and apply splitting sequences", [
         ("parse", cmd_seq_parse, {**_spec_for("sequence"), **_COMMON}),
@@ -433,7 +432,7 @@ _COMMANDS = (
             "--irreducible": {"action": "store_true",
                               "help": "emit only closures with irreducible "
                                       "matrix"},
-            "--json": _COMMON["--json"],
+            **_JSON,
             "--out": {"metavar": "DIR", "dest": "out_dir",
                       "help": "write one result file per loop under DIR"}}),
     ]),

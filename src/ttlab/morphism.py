@@ -133,7 +133,7 @@ class TrackMorphism:
             if sides_hit[0] == sides_hit[1]:
                 raise InvalidMorphism(
                     f"both sides of switch {sw.name!r} depart on side "
-                    f"{sides_hit[0]} of {vt!r}"
+                    f"{'AB'[sides_hit[0] - 1]} of {vt!r}"
                 )
 
     def is_smooth(self) -> bool:

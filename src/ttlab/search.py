@@ -40,7 +40,7 @@ from .splitting import (
     apply_sequence,
     format_sequence,
 )
-from .track import End, Switch, TrackIso, TrainTrack, flip_end, isomorphisms
+from .track import Switch, TrackIso, TrainTrack, flip_end, isomorphisms
 
 
 # where a closing suffix ends: the track and the isomorphisms from the seed
@@ -182,18 +182,17 @@ class _LoopSearch:
         depends only on the track's sizes and that pair of sizes, and is
         worked out once per pair; a far end on the slid end's own side
         changes no size."""
-        side_of: dict[End, tuple[End, ...]] = {}  # end -> its side
+        switches, site = track.switches, track.end_site
         # size -> how many more sides of it the track has than the seed
         excess = {n: -k for n, k in self.seed_counts.items()}
-        for sw in track.switches:
+        for sw in switches:
             for ends in (sw.side_a, sw.side_b):
                 excess[len(ends)] = excess.get(len(ends), 0) + 1
-                for e in ends:
-                    side_of[e] = ends
         by_pair: dict[tuple[int, int] | None, int] = {}
-        for sw in track.switches:
+        for sw in switches:
             for slid, over in _moves_at(sw):
-                own, far = side_of[slid], side_of[flip_end(over)]
+                k, side, _ = site[flip_end(over)]
+                own, far = sw[site[slid][1]], switches[k][side]
                 pair = None if far is own else (len(own), len(far))
                 lacking = by_pair.get(pair)
                 if lacking is None:

@@ -80,16 +80,17 @@ def _moves_at(sw: Switch) -> list[tuple[End, End]]:
             if len(slid_side) > 1 and slid[0] != over[0]]
 
 
-_Runs = tuple[tuple[int, str, int], ...]  # (switch position, side, first)
+_Runs = tuple[tuple[int, int, int], ...]  # (switch position, side, first)
 
 
 class _Layout:
     """The switches and end sites of a track, which is all the split kernel
     reads of it.  A site holds its switch's position, which splitting keeps,
-    so no name is looked up along a run.  A legal move takes an end from a
-    side that keeps another and puts it back on a side, so it keeps all
-    that TrainTrack validates: a run of moves needs a TrainTrack only where
-    a caller does.  A move re-sites only the ends it shifts (_moved)."""
+    so no name is looked up along a run, and its side's field index.  A
+    legal move takes an end from a side that keeps another and puts it back
+    on a side, so it keeps all that TrainTrack validates: a run of moves
+    needs a TrainTrack only where a caller does.  A move re-sites only the
+    ends it shifts (_moved)."""
 
     __slots__ = ("switches", "end_site")
 
@@ -103,8 +104,7 @@ class _Layout:
         self.switches = switches
         site = self.end_site
         for k, side, first in shifted:
-            sw = switches[k]
-            ends = sw.side_a if side == "A" else sw.side_b
+            ends = switches[k][side]
             for i in range(first, len(ends)):
                 site[ends[i]] = (k, side, i)
 
@@ -118,7 +118,7 @@ def _extremity(track, move: SplitMove) -> bool | None:
         return None
     k, side, idx = site
     sw = track.switches[k]
-    own, other = (sw.side_a, sw.side_b) if side == "A" else (sw.side_b, sw.side_a)
+    own, other = sw[side], sw[3 - side]
     last = idx == len(own) - 1
     if (len(own) > 1 and len(own) + len(other) >= 4 and (last or idx == 0)
             and other[-1 if last else 0] == move.over):
@@ -153,8 +153,7 @@ def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
     if sw.valence < 4:
         raise IllegalMove(f"{move}: switch {vs} has valence {sw.valence} < 4",
                           move=move, reason="valence")
-    slid_side = sw.side_a if side_s == "A" else sw.side_b
-    if len(slid_side) < 2:
+    if len(sw[side_s]) < 2:
         raise IllegalMove(f"{move}: slid side of {vs} would empty out",
                           move=move, reason="thin-side")
     raise IllegalMove(
@@ -173,7 +172,7 @@ def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
                          for slid, over in _moves_at(sw)), key=str))
 
 
-def _moved(track, e: End, d: int, side: str,
+def _moved(track, e: End, d: int, side: int,
            at: int) -> tuple[tuple[Switch, ...], _Runs]:
     """The switches of `track` with end `e` moved to index `at` of side
     `side` of the switch at position `d`, counted once `e` has left (past
@@ -182,21 +181,13 @@ def _moved(track, e: End, d: int, side: str,
     end.  Switches the edit leaves alone are the original objects."""
     s, side_e, idx = track.end_site[e]
     switches = list(track.switches)
-    sw = switches[s]
-    a, b = sw.side_a, sw.side_b
-    if side_e == "A":
-        a = a[:idx] + a[idx + 1:]
-    else:
-        b = b[:idx] + b[idx + 1:]
+    sw = list(switches[s])  # name, side_a, side_b: a side is its index
+    sw[side_e] = sw[side_e][:idx] + sw[side_e][idx + 1:]
     if s != d:
-        switches[s] = Switch(sw.name, a, b)
-        sw = switches[d]
-        a, b = sw.side_a, sw.side_b
-    if side == "A":
-        a = a[:at] + (e,) + a[at:]
-    else:
-        b = b[:at] + (e,) + b[at:]
-    switches[d] = Switch(sw.name, a, b)
+        switches[s] = Switch(*sw)
+        sw = list(switches[d])
+    sw[side] = sw[side][:at] + (e,) + sw[side][at:]
+    switches[d] = Switch(*sw)
     if s == d and side_e == side:  # one run from the first of the two points
         return tuple(switches), ((d, side, idx if idx < at else at),)
     return tuple(switches), ((s, side_e, idx), (d, side, at))
@@ -209,8 +200,8 @@ def _split(track, move: SplitMove) -> tuple[tuple[Switch, ...], _Runs]:
     if last is None:
         _reject(track, move)
     # the slid end reattaches next to the far end of the over edge: on a
-    # side of the slid side's letter after it if the slid end was last and
-    # before it if first, on the other letter (side B runs against the
+    # side of the slid side's index after it if the slid end was last and
+    # before it if first, on the other index (side_b runs against the
     # ribbon order) the other way round
     site = track.end_site
     v, side_s, idx = site[move.slid]
@@ -265,9 +256,8 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
     """
     _check_ends(track, move)
     k, side_o, _ = track.end_site[move.over]
-    opp = "B" if side_o == "A" else "A"  # the side opposite the over end
-    sw = track.switches[k]
-    for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
+    opp = 3 - side_o  # the side opposite the over end
+    for at in (0, len(track.switches[k][opp])):
         # a side left empty, or a move illegal on the candidate, rules it out
         try:
             cand = TrainTrack(track.name, track.edges,

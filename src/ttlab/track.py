@@ -15,11 +15,12 @@ exactly when the arriving and the departing end lie on the same side.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidTrack, NotOrientable, ParseError
 from .words import (
+    LABEL_RULE,
     Letter,
     Word,
     find_rotations,
@@ -154,18 +155,6 @@ class EulerData(NamedTuple):
     coherently_orientable: bool
 
 
-@lru_cache(maxsize=64)
-def _edge_ends(edges: tuple[str, ...]) -> frozenset[End]:
-    """The ends of `edges`, after checking the labels; a split keeps the
-    edge tuple, so a run of splits checks it once."""
-    if len(set(edges)) != len(edges):
-        raise InvalidTrack("duplicate edge labels")
-    for lab in edges:
-        if not is_label(lab):
-            raise InvalidTrack(f"bad edge label {lab!r}")
-    return frozenset((lab, k) for lab in edges for k in ("i", "t"))
-
-
 class TrainTrack:
     """A track, built only by __init__, which checks it in __post_init__.
     Its fields cannot be set; cached_property stores the lookups without
@@ -195,17 +184,22 @@ class TrainTrack:
             seen_sw.add(sw.name)
             if not sw.side_a or not sw.side_b:
                 raise InvalidTrack(f"switch {sw.name!r} has an empty side")
-        want = _edge_ends(tuple(self.edges))
-        placed: dict[End, str] = {}
+        if len(set(self.edges)) != len(self.edges):
+            raise InvalidTrack("duplicate edge labels")
+        for lab in self.edges:
+            if not is_label(lab):
+                raise InvalidTrack(f"bad edge label {lab!r}: {LABEL_RULE}")
+        placed: set[End] = set()
         for sw in self.switches:
             for e in sw.ends:
                 if e in placed:
                     raise InvalidTrack(f"end {format_end(e)} placed twice")
-                placed[e] = sw.name
-        if set(placed) != want:
+                placed.add(e)
+        want = {(lab, k) for lab in self.edges for k in "it"}
+        if placed != want:
             bits = [f"{what} " + ", ".join(map(format_end, sorted(ends)))
-                    for what, ends in (("missing", want - set(placed)),
-                                       ("stray", set(placed) - want)) if ends]
+                    for what, ends in (("missing", want - placed),
+                                       ("stray", placed - want)) if ends]
             raise InvalidTrack("ends do not match edge list: " + "; ".join(bits))
         for bname, w in self.declared_boundaries:  # none on a split track
             if not any(find_rotations(v, c.word) for v in (w, inverse(w))
@@ -230,15 +224,16 @@ class TrainTrack:
     # ------------------------------------------------------------------
 
     @cached_property
-    def end_site(self) -> dict[End, tuple[int, str, int]]:
-        """end -> (switch position, side letter, index within the side);
-        splitting keeps switch order, so a position holds along a run."""
-        site: dict[End, tuple[int, str, int]] = {}
+    def end_site(self) -> dict[End, tuple[int, int, int]]:
+        """end -> (switch position, side, index within the side), the side
+        being the index of the Switch field holding the end: 1 for side_a, 2
+        for side_b.  Splitting keeps switch order, so a position holds along
+        a run."""
+        site: dict[End, tuple[int, int, int]] = {}
         for k, sw in enumerate(self.switches):
-            for i, e in enumerate(sw.side_a):
-                site[e] = (k, "A", i)
-            for i, e in enumerate(sw.side_b):
-                site[e] = (k, "B", i)
+            for side in (1, 2):
+                for i, e in enumerate(sw[side]):
+                    site[e] = (k, side, i)
         return site
 
     @cached_property
@@ -354,10 +349,10 @@ class TrainTrack:
                     k, side, _ = self.end_site[(lab, kind)]
                     sw = self.switches[k]
                     arrives = (kind == "t") ^ flip[lab]
-                    for other, ends in (("A", sw.side_a), ("B", sw.side_b)):
+                    for other in (1, 2):
                         # ends on one side agree, the two sides differ
-                        for x, k in ends:
-                            want = (k == "t") ^ arrives ^ (other != side)
+                        for x, kx in sw[other]:
+                            want = (kx == "t") ^ arrives ^ (other != side)
                             if x not in flip:
                                 flip[x] = want
                                 todo.append(x)
@@ -442,7 +437,6 @@ def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
         return ()
     s_sig, d_sig = src.sigma, dst.sigma
     s_site, d_site = src.end_site, dst.end_site
-    found: list[TrackIso] = []
 
     def walk(fmap: dict[End, End], e: End, d: End) -> dict[End, End] | None:
         """`fmap` grown from e -> d along flips and ribbon successors, or
@@ -466,24 +460,18 @@ def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
             stack.append((flip_end(e), flip_end(d)))
         return fmap
 
-    def extend(fmap: dict[End, End]) -> None:
-        """Every isomorphism that extends `fmap`, one component at a time."""
-        start = min((e for e in s_site if e not in fmap), default=None)
-        if start is None:
-            found.append(TrackIso(
-                tuple(sorted((e[0], d[0]) for e, d in fmap.items() if e[1] == "i")),
-                tuple(sorted({src.switch_of(e): dst.switch_of(d)
-                              for e, d in fmap.items()}.items())),
-            ))
-            return
-        for d in d_site:
-            grown = walk(fmap, start, d)
-            if grown is not None:
-                extend(grown)
-
-    extend({})
-    found.sort(key=lambda iso: iso.label_map)
-    return tuple(found)
+    # a walk covers the whole component of its start, so every partial map
+    # covers the same components: grow them all by the next one left out
+    maps: list[dict[End, End]] = [{}]
+    for start in sorted(s_site):
+        if maps and start not in maps[0]:
+            maps = [grown for fmap in maps for d in d_site
+                    if (grown := walk(fmap, start, d)) is not None]
+    return tuple(sorted((TrackIso(
+        tuple(sorted((e[0], d[0]) for e, d in fmap.items() if e[1] == "i")),
+        tuple(sorted({src.switch_of(e): dst.switch_of(d)
+                      for e, d in fmap.items()}.items())),
+    ) for fmap in maps), key=lambda iso: iso.label_map))
 
 
 def automorphisms(track: TrainTrack) -> tuple[TrackIso, ...]:

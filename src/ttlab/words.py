@@ -17,10 +17,13 @@ Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_RESERVED = ("source", "target")  # the keys a map reads beside its edges
+LABEL_RULE = ("a label is a letter, then letters, digits or '_', and not "
+              "'source' or 'target', which are reserved map keys")
 
 
 def is_label(text: str) -> bool:
-    return bool(_LABEL_RE.fullmatch(text))
+    return bool(_LABEL_RE.fullmatch(text)) and text not in _RESERVED
 
 
 def inv_letter(lt: Letter) -> Letter:

@@ -82,6 +82,34 @@ def test_track_export_dot(capsys):
     assert out.startswith('digraph "tau"')
 
 
+@pytest.mark.parametrize("argv", [
+    ["track", "export", "atlas:tau"],
+    ["track", "export-dot", "atlas:tau"],
+    ["map", "compose", "atlas:phi1", "atlas:phi1"],
+], ids=" ".join)
+def test_document_and_graph_writers_take_no_json(capsys, argv):
+    # they print a document or a graph, which --json never changed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_map_keys_as_edge_labels_are_unreadable(capsys, tmp_path):
+    path = tmp_path / "keys.tt"
+    path.write_text(TWO_CIRCLES.replace("edges = a b", "edges = a source"))
+    code, out, err = run(capsys, "track", "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "track 'circles': bad edge label 'source'" in err
+    assert "reserved map keys" in err
+    # as an end, it is no end token at all
+    path.write_text(TWO_CIRCLES.replace("edges = a b", "edges = a source")
+                    .replace("(b)", "(source)"))
+    code, _, err = run(capsys, "track", "validate", str(path))
+    assert code == 2
+    assert "bad end token 'i(source)'" in err
+
+
 def test_map_check(capsys):
     code, out, _ = run(capsys, "map", "check", "atlas:phi1")
     assert code == 0
@@ -514,6 +542,7 @@ _HELP_PAGES = [["-h"]] + [[group, "-h"] for group, _, _ in _COMMANDS] + [
     ["map", "certify", "atlas:phi2", "--tol", "abc"],
     ["map", "certify", "atlas:phi2", "--expect", "bogus"],
     ["search", "loops", "atlas:tau", "--depth"],
+    ["track", "export", "atlas:tau", "--json"],
 ], ids=" ".join)
 def test_lean_parser_matches_the_full_tree(argv):
     # main builds arguments for the named command alone; every help page and

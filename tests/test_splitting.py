@@ -179,12 +179,12 @@ def test_unsplit_candidates_never_split_to_one_track():
         for t in [seed] + [apply_split(seed, mv)[0] for mv in legal_splits(seed)]:
             for over, (v, side_o, _) in t.end_site.items():
                 sw = t.switches[v]
-                if len(sw.side_a if side_o == "A" else sw.side_b) > 1:
+                if len(sw[side_o]) > 1:
                     continue
-                opp = "B" if side_o == "A" else "A"
+                opp = 3 - side_o
                 for slid in t.end_site:
                     mv, splits = SplitMove(slid, over), []
-                    for at in (0, len(sw.side_a if opp == "A" else sw.side_b)):
+                    for at in (0, len(sw[opp])):
                         try:
                             cand = TrainTrack(t.name, t.edges,
                                               _moved(t, slid, v, opp, at)[0])
@@ -446,9 +446,9 @@ def _reference_split(track, move):
     switches = list(track.switches)
     sides = {k: (list(switches[k].side_a), list(switches[k].side_b))
              for k in (s, d)}
-    del sides[s][0 if side_e == "A" else 1][idx]
-    ends = sides[d][0 if side_f == "A" else 1]
-    step = (cases[0] == "after") == (side_f == "A")
+    del sides[s][side_e - 1][idx]
+    ends = sides[d][side_f - 1]
+    step = (cases[0] == "after") == (side_f == 1)
     ends.insert(ends.index(far) + step, move.slid)
     for k, (a, b) in sides.items():
         switches[k] = Switch(switches[k].name, tuple(a), tuple(b))
@@ -474,7 +474,7 @@ def _kernel_step(layout, mv):
     child.split(switches, shifted)
     for k in rebuilt:
         sw = switches[k]
-        for side, ends in (("A", sw.side_a), ("B", sw.side_b)):
+        for side, ends in ((1, sw.side_a), (2, sw.side_b)):
             for i, e in enumerate(ends):
                 sites[e] = (k, side, i)
     assert child.end_site == sites

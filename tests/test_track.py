@@ -1,10 +1,10 @@
 """Track structure: switches, ribbon boundaries, Euler data, isomorphism."""
 
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttlab.atlas import (
@@ -35,6 +35,7 @@ from ttlab.track import (
 from ttlab.words import (
     find_rotations,
     inverse,
+    is_label,
     min_rotation,
     parse_word,
     word_key,
@@ -293,8 +294,20 @@ def small_track_pairs(draw):
     return src, TrainTrack("copy", t.edges, tuple(draw(st.permutations(switches))))
 
 
+# three components, so the walk grows every partial map by each in turn
+THREE_CIRCLES = TrainTrack("circles", ("a", "b", "c"), tuple(
+    Switch(v, (end(x, "i"),), (end(x, "t"),)) for v, x in zip("vwu", "abc")))
+
+
+def test_three_circles_have_six_automorphisms():
+    # each permutation of the circles, and nothing else
+    assert [iso.labels for iso in automorphisms(THREE_CIRCLES)] == [
+        dict(zip("abc", p)) for p in permutations("abc")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair=small_track_pairs())
+@example(pair=(THREE_CIRCLES, THREE_CIRCLES))
 def test_walk_matches_backtracking_on_small_tracks(pair):
     src, dst = pair
     for a, b in ((src, dst), (dst, src), (src, src)):
@@ -349,6 +362,20 @@ def test_ribbon_invariants_of_catalogue_tracks_and_seeds(spec):
     if not spec.startswith("atlas:"):
         spec = str(ROOT / spec)
     _assert_ribbon_invariants(resolve_track(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    "atlas:tau", "atlas:tau_prime", "atlas:tau_initial",
+    "examples/h22_hyp.tt", "examples/h22_odd.tt",
+])
+def test_end_site_gives_a_side_by_its_switch_field(spec):
+    # the side of a site indexes the Switch tuple: 1 is side_a, 2 side_b
+    t = resolve_track(spec if spec.startswith("atlas:") else str(ROOT / spec))
+    for track in (t, apply_split(t, legal_splits(t)[0])[0]):
+        assert len(track.end_site) == 2 * len(track.edges)
+        for e, (k, side, i) in track.end_site.items():
+            assert side in (1, 2)
+            assert track.switches[k][side][i] == e
 
 
 def _coherent(track, orient):
@@ -480,12 +507,23 @@ def test_bare_switches_need_no_name():
 
 def test_edge_labels_checked_on_every_track():
     sw = Switch("v", (end("a", "i"),), (end("a", "t"),))
-    for _ in range(2):  # the check is cached per edge tuple, its failure is not
+    for _ in range(2):  # every build checks the labels again
         with pytest.raises(InvalidTrack, match="duplicate edge labels"):
             TrainTrack("bad", ("a", "a"), (sw,))
         with pytest.raises(InvalidTrack, match="bad edge label '1a'"):
             TrainTrack("bad", ("1a",), (sw,))
     assert TrainTrack("ok", ["a"], (sw,)).edges == ["a"]
+
+
+@pytest.mark.parametrize("label", ["source", "target"])
+def test_map_keys_cannot_label_edges(label):
+    # a map section names its tracks under these keys, so a map on a track
+    # with such an edge would dump a key twice and not read back
+    assert not is_label(label)
+    sw = Switch("v", (end(label, "i"),), (end(label, "t"),))
+    with pytest.raises(InvalidTrack, match=f"bad edge label '{label}': .*"
+                       "'source' or 'target', which are reserved map keys"):
+        TrainTrack("bad", (label,), (sw,))
 
 
 def test_orientation_exists_on_base_track():
