@@ -10,7 +10,7 @@ from .boundary import (
     boundary_action,
     side_dynamics,
 )
-from .certify import Certificate, certify, render_text, to_json, to_json_dict
+from .certify import Certificate, certify, render_text, to_json_dict
 from .errors import (
     AlignmentError,
     BadIndex,
@@ -45,7 +45,6 @@ from .morphism import (
     compose,
     compose_chain,
     identity_morphism,
-    iso_morphism,
     power,
     relabel_morphism,
 )
@@ -56,7 +55,6 @@ from .splitting import (
     apply_sequence,
     apply_split,
     format_sequence,
-    is_legal,
     legal_splits,
     parse_move,
     parse_sequence,
@@ -68,12 +66,10 @@ from .track import (
     Switch,
     TrackIso,
     TrainTrack,
-    automorphisms,
     isomorphisms,
     tracks_equal,
 )
 from .words import (
-    cyclic_reduce,
     format_word,
     free_reduce,
     inverse,
@@ -95,13 +91,11 @@ __all__ = [
     "SearchConfig", "SideDynamics", "SideOrbit", "SplitMove", "SplitRun",
     "Switch", "TrackError", "TrackIso", "TrackMorphism", "TrainTrack",
     "UnknownEntry", "apply_sequence", "apply_split", "atlas",
-    "automorphisms", "boundary_action", "certify", "compose", "compose_chain",
-    "cyclic_reduce", "dilatation", "fileio", "fixed_edge_points",
-    "format_sequence", "format_word", "free_reduce", "identity_morphism",
-    "incidence_matrix", "inverse", "irreducibility", "is_legal",
-    "iso_morphism", "isomorphisms", "legal_splits", "parse_move",
+    "boundary_action", "certify", "compose", "compose_chain", "dilatation",
+    "fileio", "fixed_edge_points", "format_sequence", "format_word",
+    "free_reduce", "identity_morphism", "incidence_matrix", "inverse",
+    "irreducibility", "isomorphisms", "legal_splits", "parse_move",
     "parse_sequence", "parse_word", "power", "primitivity",
     "relabel_morphism", "render_text", "replay", "search_loops",
-    "side_dynamics", "substitute", "to_json", "to_json_dict", "tracks_equal",
-    "unsplit",
+    "side_dynamics", "substitute", "to_json_dict", "tracks_equal", "unsplit",
 ]

@@ -49,14 +49,16 @@ class CurveImage(NamedTuple):
     cusp_shift: int | None  # constant index shift when defined
     fold_depths: tuple[int, ...]  # cancelled run at each source cusp
 
+    @property
+    def shift_text(self) -> str:
+        if self.cusp_shift is None:
+            return "no cusp shift"
+        return f"cusp shift {self.cusp_shift}"
+
 
 class BoundaryAction(NamedTuple):
-    curve_map: tuple[int, ...]
     curves: tuple[CurveImage, ...]
     warnings: tuple[str, ...]
-
-    def curve(self, i: int) -> CurveImage:
-        return self.curves[i]
 
 
 def _image_blocks(m: TrackMorphism, word: Word) -> tuple[Word, tuple[int, ...]]:
@@ -137,9 +139,7 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
             CurveImage(i, j, r, cusp_imgs, shift, tuple(depths))
         )
 
-    return BoundaryAction(
-        tuple(ci.target_index for ci in images), tuple(images), tuple(warnings)
-    )
+    return BoundaryAction(tuple(images), tuple(warnings))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ as a puncture with its cusp count of prongs, or filled in as a cone point.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -63,10 +62,6 @@ class Certificate(NamedTuple):
     fixed_point_free: bool | None
     tolerance: float
     warnings: tuple[str, ...]
-
-    @property
-    def dilatation_value(self) -> float | None:
-        return self.perron.value if self.perron else None
 
     @property
     def punctured_reading(self) -> str:
@@ -217,11 +212,9 @@ def render_text(cert: Certificate) -> str:
         )
     if cert.boundary is not None:
         for ci in cert.boundary.curves:
-            shift = ("no cusp shift" if ci.cusp_shift is None
-                     else f"cusp shift {ci.cusp_shift}")
             folds = "".join(f" {d}" for d in ci.fold_depths)  # one per cusp
             lines.append(f"boundary {ci.source_index} -> {ci.target_index}, "
-                         f"rotation {ci.rotation} letters, {shift}"
+                         f"rotation {ci.rotation} letters, {ci.shift_text}"
                          + (f", fold depths{folds}" if folds else ""))
     if cert.sides is not None:
         for orbit in cert.sides.orbits:
@@ -325,7 +318,3 @@ def to_json_dict(cert: Certificate) -> dict:
         d["sideOrbits"] = None
         d["boundaryPeriodicPoints"] = None
     return d
-
-
-def to_json(cert: Certificate) -> str:
-    return json.dumps(to_json_dict(cert), indent=2, sort_keys=True) + "\n"

@@ -21,6 +21,8 @@ from .boundary import boundary_action
 from .certify import certify, render_text, to_json_dict
 from .errors import BadIndex, NotASelfMap, ParseError, TrackError, UnknownEntry
 from .fileio import (
+    Document,
+    dump_document,
     dump_map,
     dump_sequence,
     dump_track,
@@ -219,9 +221,7 @@ def cmd_map_boundaries(args):
             "warnings": list(action.warnings),
         }
     lines = [f"curve {ci.source_index} -> curve {ci.target_index}, rotation "
-             f"{ci.rotation}, " + ("no cusp shift" if ci.cusp_shift is None
-                                   else f"cusp shift {ci.cusp_shift}")
-             for ci in action.curves]
+             f"{ci.rotation}, {ci.shift_text}" for ci in action.curves]
     lines += [f"warning: {w}" for w in action.warnings]
     return "\n".join(lines)
 
@@ -250,7 +250,8 @@ def cmd_seq_apply(args):
             "final": _track_dict(final),
             "composite": {lab: format_word(w) for lab, w in comp.images},
         }
-    return dump_track(start) + "\n" + dump_track(final) + "\n" + dump_map(comp)
+    return dump_document(Document({"start": start, "final": final},
+                                  {"composite": comp}))
 
 
 # ----------------------------------------------------------------------
@@ -266,11 +267,7 @@ def cmd_atlas_list(args):
 
 
 def cmd_atlas_export(args):
-    """`atlas export NAME`, and `atlas phi --n N` and `atlas psi --n N`,
-    which export phi:N and psi:N."""
-    name = (args.name if args.subcommand == "export"
-            else f"{args.subcommand}:{args.n}")
-    kind, entry = _atlas.entry(name)
+    kind, entry = _atlas.entry(args.name)
     if kind == "track":
         return dump_track(entry)
     if kind == "map":
@@ -278,16 +275,14 @@ def cmd_atlas_export(args):
             return {"name": entry.name, "source": entry.source.name,
                     "target": entry.target.name,
                     "images": {lab: format_word(w) for lab, w in entry.images}}
-        parts = [dump_track(entry.source)]
-        if entry.target.name != entry.source.name:
-            parts.append(dump_track(entry.target))
-        parts.append(dump_map(entry))
-        return "\n".join(parts)
+        tracks = {entry.source.name: entry.source}
+        tracks.setdefault(entry.target.name, entry.target)
+        return dump_document(Document(tracks, {entry.name: entry}))
     if kind == "labels":
         return "\n".join(f"{k} -> {v}" for k, v in sorted(entry.items()))
     if kind == "word":
         return format_word(entry)
-    return dump_sequence(entry, name=name.replace(":", "_"))
+    return dump_sequence(entry, name=args.name.replace(":", "_"))
 
 
 def cmd_atlas_reconstruct(args):
@@ -407,12 +402,6 @@ _COMMANDS = (
         ("list", cmd_atlas_list, _COMMON),
         ("export", cmd_atlas_export, {
             "name": {"help": "catalogue entry, e.g. tau or phi:5"}, **_COMMON}),
-        ("phi", cmd_atlas_export, {
-            "--n": {"type": int, "required": True,
-                    "help": "map index, odd or 2"}, **_COMMON}),
-        ("psi", cmd_atlas_export, {
-            "--n": {"type": int, "required": True,
-                    "help": "map index, 0 or more"}, **_COMMON}),
         ("reconstruct", cmd_atlas_reconstruct, _COMMON),
     ]),
     ("search", "enumerate splitting loops", [

@@ -40,16 +40,9 @@ class IncidenceMatrix(NamedTuple):
     cols: tuple[str, ...]  # target edges
     data: Matrix
 
-    def entry(self, row_label: str, col_label: str) -> int:
-        return self.data[self.rows.index(row_label)][self.cols.index(col_label)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, label: str) -> dict[str, int]:
-        r = self.data[self.rows.index(label)]
-        return {c: r[j] for j, c in enumerate(self.cols)}
 
 
 def incidence_matrix(m: TrackMorphism) -> IncidenceMatrix:

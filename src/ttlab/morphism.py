@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from .errors import ChainMismatch, InvalidMorphism, NotASelfMap
 from .track import (
     End,
-    TrackIso,
     TrainTrack,
     arrival_end,
     departure_end,
@@ -136,13 +135,6 @@ class TrackMorphism:
                     f"{'AB'[sides_hit[0] - 1]} of {vt!r}"
                 )
 
-    def is_smooth(self) -> bool:
-        try:
-            self.check()
-            return True
-        except InvalidMorphism:
-            return False
-
 
 # ----------------------------------------------------------------------
 
@@ -197,10 +189,3 @@ def relabel_morphism(src: TrainTrack, mapping: dict[str, str],
     full = {lab: mapping.get(lab, lab) for lab in src.edges}
     return TrackMorphism(src, dst, {lab: ((full[lab], 1),) for lab in src.edges},
                          name=name)
-
-
-def iso_morphism(iso: TrackIso, src: TrainTrack, dst: TrainTrack) -> TrackMorphism:
-    """A TrackIso (src -> dst) as a single-letter morphism."""
-    labels = iso.labels
-    return TrackMorphism(src, dst, {lab: ((labels[lab], 1),) for lab in src.edges})
-

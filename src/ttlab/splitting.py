@@ -162,10 +162,6 @@ def _reject(track: TrainTrack, move: SplitMove) -> NoReturn:
     )
 
 
-def is_legal(track: TrainTrack, move: SplitMove) -> bool:
-    return _extremity(track, move) is not None
-
-
 def legal_splits(track: TrainTrack) -> tuple[SplitMove, ...]:
     """All legal moves, sorted by notation for deterministic traversal."""
     return tuple(sorted((SplitMove(slid, over) for sw in track.switches

@@ -43,10 +43,6 @@ def is_name(text: str) -> bool:
     return bool(_NAME_RE.fullmatch(text))
 
 
-def end(label: str, kind: str) -> End:
-    return (label, kind)
-
-
 def flip_end(e: End) -> End:
     return (e[0], "t" if e[1] == "i" else "i")
 
@@ -61,6 +57,7 @@ def parse_end(token: str, line: int | None = None, col: int | None = None) -> En
         label = token[2:-1]
         if is_label(label):
             return (label, token[0])
+        raise ParseError(f"bad end token {token!r}: {LABEL_RULE}", line, col)
     raise ParseError(f"bad end token {token!r}, expected t(x) or i(x)", line, col)
 
 
@@ -472,7 +469,3 @@ def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
         tuple(sorted({src.switch_of(e): dst.switch_of(d)
                       for e, d in fmap.items()}.items())),
     ) for fmap in maps), key=lambda iso: iso.label_map))
-
-
-def automorphisms(track: TrainTrack) -> tuple[TrackIso, ...]:
-    return isomorphisms(track, track)

@@ -26,10 +26,6 @@ def is_label(text: str) -> bool:
     return bool(_LABEL_RE.fullmatch(text)) and text not in _RESERVED
 
 
-def inv_letter(lt: Letter) -> Letter:
-    return (lt[0], -lt[1])
-
-
 def inverse(word: Iterable[Letter]) -> Word:
     return tuple((lab, -s) for lab, s in reversed(tuple(word)))
 
@@ -98,10 +94,6 @@ def cyclic_reduce_marked(word: Word) -> tuple[Word, tuple[int, ...]]:
         red = red[1:-1]
         ids = ids[1:-1]
     return tuple(red), tuple(ids)
-
-
-def cyclic_reduce(word: Word) -> Word:
-    return cyclic_reduce_marked(word)[0]
 
 
 def substitute(word: Iterable[Letter], images: Mapping[str, Word]) -> Word:

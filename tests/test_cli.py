@@ -102,12 +102,13 @@ def test_map_keys_as_edge_labels_are_unreadable(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "track 'circles': bad edge label 'source'" in err
     assert "reserved map keys" in err
-    # as an end, it is no end token at all
+    # an end token names the reserved label
     path.write_text(TWO_CIRCLES.replace("edges = a b", "edges = a source")
                     .replace("(b)", "(source)"))
     code, _, err = run(capsys, "track", "validate", str(path))
     assert code == 2
     assert "bad end token 'i(source)'" in err
+    assert "reserved" in err
 
 
 def test_map_check(capsys):
@@ -275,16 +276,33 @@ def test_atlas_export(capsys):
     assert "[map phi1]" in out
 
 
-def test_atlas_phi_psi(capsys):
-    code, out, _ = run(capsys, "atlas", "phi", "--n", "7", "--json")
+def test_atlas_export_family_members(capsys):
+    code, out, _ = run(capsys, "atlas", "export", "phi:7", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["name"] == "phi7"
     assert data["source"] == data["target"] == "tau"
     assert data["images"]["k"] == "e a e a e a d h l a e a e a e"
-    code, out, _ = run(capsys, "atlas", "psi", "--n", "2")
+    code, out, _ = run(capsys, "atlas", "export", "psi:2")
     assert code == 0
     assert "[map psi2]" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # every `ttlab` line of the command block, without its comment and its
+    # redirection; `--out loops/` writes under tmp_path
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split(">", 1)[0].split()[1:]
+             for line in block.splitlines() if line.startswith("ttlab ")]
+    assert len(lines) >= 15
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # SHA-256 over the stdout of `ttlab atlas export NAME` then `... NAME --json`
@@ -314,8 +332,7 @@ def test_catalogue_bytes_are_frozen(capsys):
     (("seq", "parse", "atlas:tau"), "'atlas:tau' is not a splitting sequence"),
     (("atlas", "export", "foo:x"), "bad parameter in atlas name 'foo:x'"),
     (("atlas", "export", "tau:3"), "no atlas entry named 'tau:3'"),
-    (("atlas", "phi", "--n", "4"),
-     "phi is defined for odd indices and 2, not 4"),
+    (("atlas", "export", "phi:4"), "phi is defined for odd indices and 2, not 4"),
     (("atlas", "export", "phi:-3"), "phi is defined for odd indices and 2, not -3"),
     (("atlas", "export", "psi:-1"), "psi needs n >= 0, not -1"),
     # a family index has one spelling, in ASCII digits
@@ -415,7 +432,7 @@ def test_dilatation_bracket_past_the_digit_cap(capsys, monkeypatch):
 def test_exit_code_two_for_bad_input(capsys, tmp_path):
     assert run(capsys, "track", "info", "/does/not/exist.tt")[0] == 2
     assert run(capsys, "atlas", "export", "zeta")[0] == 2
-    assert run(capsys, "atlas", "phi", "--n", "4")[0] == 2
+    assert run(capsys, "atlas", "export", "phi:4")[0] == 2
     assert run(capsys, "map", "check", "atlas:tau")[0] == 2
     assert run(capsys, "map", "certify", "atlas:phi2", "--tol", "0")[0] == 2
     assert run(capsys, "map", "dilatation", "atlas:phi2", "--tol", "nan")[0] == 2
@@ -474,8 +491,8 @@ def test_certify_on_a_disconnected_track_is_invalid(capsys, tmp_path):
     ("map", "check", "atlas:phi:999999999999"),
     ("map", "check", "atlas:psi:99999999"),
     ("seq", "apply", "atlas:tau_initial", "atlas:seq:999999999999"),
-    ("atlas", "phi", "--n", "999999999999"),
-    ("atlas", "psi", "--n", "99999999"),
+    ("atlas", "export", "phi:999999999999"),
+    ("atlas", "export", "psi:99999999"),
 ])
 def test_huge_atlas_index_is_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv)

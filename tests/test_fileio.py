@@ -24,6 +24,7 @@ from ttlab.fileio import (
 from ttlab.morphism import TrackMorphism
 from ttlab.splitting import apply_sequence, apply_split, legal_splits
 from ttlab.track import Switch, TrainTrack, tracks_equal
+from ttlab.words import LABEL_RULE
 
 ATLAS_MAP_NAMES = ["phi1", "phi2", "phi3", "alpha", "beta", "t_ig", "t_gi"]
 
@@ -275,6 +276,8 @@ def _edit(old: str, new: str) -> str:
      3, "col 6: bad letter token '?'"),
     (_edit("side_a = i(b)", "side_a = i(b) x(a)"),
      7, "bad end token 'x(a)', expected t(x) or i(x)"),
+    (_edit("side_a = i(b)", "side_a = i(source)"),
+     7, f"bad end token 'i(source)': {LABEL_RULE}"),
     (_edit("i(a)/t(b)", "i(a)/t(b); zzz"),
      15, "col 12: bad move token 'zzz', expected like t(a)/i(b)"),
 ])

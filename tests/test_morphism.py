@@ -21,11 +21,10 @@ from ttlab.morphism import (
     compose,
     compose_chain,
     identity_morphism,
-    iso_morphism,
     power,
     relabel_morphism,
 )
-from ttlab.track import Switch, TrainTrack, end, isomorphisms
+from ttlab.track import Switch, TrainTrack, isomorphisms
 from ttlab.words import format_word, parse_word
 
 
@@ -37,7 +36,6 @@ def test_atlas_maps_check_clean():
     for build in ATLAS_MAPS:
         m = build()
         m.check()
-        assert m.is_smooth()
 
 
 def test_sources_and_targets():
@@ -96,18 +94,20 @@ def test_relabel_morphism_is_alpha():
     assert m.mapping == alpha().mapping
 
 
-def test_iso_morphism_and_inverse():
+def test_isomorphism_morphisms_and_inverse():
     isos = isomorphisms(initial_track(), base_track())
     backs = isomorphisms(base_track(), initial_track())
     assert len(isos) == len(backs) == 2
     for iso in isos:
-        m = iso_morphism(iso, initial_track(), base_track())
+        m = TrackMorphism(initial_track(), base_track(),
+                          {x: ((y, 1),) for x, y in iso.label_map})
         m.check()
         # the inverse bijection is one of the isomorphisms back
         inverse = [b for b in backs
                    if all(b.labels[y] == x for x, y in iso.label_map)]
         assert len(inverse) == 1
-        inv = iso_morphism(inverse[0], base_track(), initial_track())
+        inv = TrackMorphism(base_track(), initial_track(),
+                            {x: ((y, 1),) for x, y in inverse[0].label_map})
         assert compose(inv, m).mapping == \
             identity_morphism(initial_track()).mapping
         assert compose(m, inv).mapping == \
@@ -144,19 +144,17 @@ def test_morphism_check_names_the_failure(word, reason):
     with pytest.raises(InvalidMorphism) as exc:
         m.check()
     assert str(exc.value) == reason
-    assert not m.is_smooth()
 
 
 def test_morphism_must_not_fold_a_switch_onto_one_side():
     # a circle through two valence-2 switches; b -> a^-1 turns back at v
-    v = Switch("v", (end("a", "t"),), (end("b", "i"),))
-    w = Switch("w", (end("b", "t"),), (end("a", "i"),))
+    v = Switch("v", (("a", "t"),), (("b", "i"),))
+    w = Switch("w", (("b", "t"),), (("a", "i"),))
     t = TrainTrack("circle", ("a", "b"), (v, w))
     m = TrackMorphism(t, t, {"a": parse_word("a"), "b": parse_word("-a")})
     with pytest.raises(InvalidMorphism) as exc:
         m.check()
     assert str(exc.value) == "both sides of switch 'v' depart on side A of 'v'"
-    assert not m.is_smooth()
 
 
 def test_morphism_images_name_only_target_edges():

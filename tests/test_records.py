@@ -15,7 +15,7 @@ from ttlab.incidence import incidence_matrix, irreducibility, primitivity
 from ttlab.morphism import TrackMorphism
 from ttlab.search import SearchConfig, replay
 from ttlab.splitting import apply_sequence
-from ttlab.track import automorphisms
+from ttlab.track import isomorphisms
 
 
 def _records():
@@ -30,7 +30,7 @@ def _records():
     return [
         (track, "name"), (m, "images"), (track.switches[0], "side_a"),
         (track.boundary_curves[0], "word"), (track.validate(), "genus"),
-        (automorphisms(track)[0], "label_map"), (mat, "data"),
+        (isomorphisms(track, track)[0], "label_map"), (mat, "data"),
         (irreducibility(mat), "witness"), (primitivity(mat), "exponent"),
         (cert.perron, "lower"), (cert, "verdict"), (cert.boundary, "curves"),
         (cert.boundary.curves[0], "rotation"), (cert.sides, "orbits"),
