@@ -19,9 +19,9 @@ offset T = |U| computable from letter lengths alone.  A letter q of word(s)
 spanning [lam, mu) in phi^P coordinates carries exactly one periodic point
 when it strictly covers its own slot, lam < T+q and T+q+1 < mu.  Touching
 the slot boundary or covering isometrically (a one letter image landing
-exactly on its own slot) is reported as a warning instead of a count.  The
-itinerary of a side's point is the sequence of covering letters met along
-its orbit, rendered in the marked edge style.
+exactly on its own slot) is reported as a warning instead of a count.  A
+side's point is reported with the labels of the covering letters met along
+its orbit, and rendered in the marked edge style.
 """
 
 from __future__ import annotations
@@ -151,14 +151,9 @@ class PeriodicPoint(NamedTuple):
     side: int
     letter: int  # index within the side word of the letter carrying the point
     label: str
-    # one entry per orbit step starting at this side:
-    # (curve, side, letter index, letter label)
-    itinerary: tuple[tuple[int, int, int, str], ...]
+    # the label of the covering letter at each orbit step from this side
+    marked_labels: tuple[str, ...]
     rendered: str
-
-    @property
-    def marked_labels(self) -> tuple[str, ...]:
-        return tuple(lab for _, _, _, lab in self.itinerary)
 
 
 class SideOrbit(NamedTuple):
@@ -175,7 +170,7 @@ class SideDynamics(NamedTuple):
     total_points: int  # summed over every side of every orbit
     degenerate: bool
     boundary_points: int  # points on a letter's slot boundary, not counted
-    warnings: tuple[str, ...]
+    warnings: tuple[str, ...]  # the action's own are in BoundaryAction
 
     @property
     def single_point_per_side(self) -> bool:
@@ -200,7 +195,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
     if action is None:
         action = boundary_action(m)
     curves = m.source.boundary_curves
-    warnings = list(action.warnings)
+    warnings: list[str] = []
 
     # sigma on sides, in curve/side order
     words: dict[tuple[int, int], Word] = {}
@@ -284,8 +279,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
         points: tuple[PeriodicPoint, ...] = ()
         if all(len(found) == 1 for found in cover):
             qs = [found[0] for found in cover]
-            # (curve, side, letter index, letter label) of each orbit step
-            stops = [(*s, q, words[s][q][0]) for s, q in zip(orb, qs)]
+            labels = [words[s][q][0] for s, q in zip(orb, qs)]
             marked = [_mark_word(words[s], q) for s, q in zip(orb, qs)]
             # marked edge display of each step: phi(word(s)) as
             # A.[word(sigma s)].B with the next covering letter marked
@@ -294,7 +288,8 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
                                             format_word(overhangs[s][1], sep="."))))
                      for k, s in enumerate(orb)]
             points = tuple(
-                PeriodicPoint(*stops[j], tuple(stops[j:] + stops[:j]),
+                PeriodicPoint(*orb[j], qs[j], labels[j],
+                              tuple(labels[j:] + labels[:j]),
                               " -> ".join([marked[j], *steps[j:], *steps[:j]]))
                 for j in range(p)
             )

@@ -49,7 +49,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 class Certificate(NamedTuple):
     map_name: str
     track_name: str
-    edges: tuple[str, ...]
     matrix: IncidenceMatrix
     fixed_edges: tuple[tuple[str, int], ...]
     irreducibility: IrreducibilityReport
@@ -143,15 +142,14 @@ def certify(m: TrackMorphism, tol: float = 1e-10) -> Certificate:
         )
     else:
         fpf = None
+    if action is not None:
+        warnings.extend(action.warnings)
     if sides is not None:
-        warnings.extend(w for w in sides.warnings if w not in warnings)
-    elif action is not None:
-        warnings.extend(w for w in action.warnings if w not in warnings)
+        warnings.extend(sides.warnings)
 
     return Certificate(
         map_name=m.name or "(unnamed)",
         track_name=m.source.name,
-        edges=mat.rows,
         matrix=mat,
         fixed_edges=fixed,
         irreducibility=irr,
@@ -178,7 +176,7 @@ def _fraction_str(f: Fraction) -> str:
 def render_text(cert: Certificate) -> str:
     lines = []
     lines.append(f"map: {cert.map_name} on track {cert.track_name}")
-    lines.append(f"edges: {' '.join(cert.edges)}")
+    lines.append(f"edges: {' '.join(cert.matrix.rows)}")
     lines.append("incidence matrix (rows = source edges):")
     for lab, row in zip(cert.matrix.rows, cert.matrix.data):
         lines.append(f"  {lab}: " + " ".join(str(x) for x in row))
@@ -252,7 +250,7 @@ def to_json_dict(cert: Certificate) -> dict:
         "schema": SCHEMA,
         "map": cert.map_name,
         "track": cert.track_name,
-        "edges": list(cert.edges),
+        "edges": list(cert.matrix.rows),
         "matrix": [list(r) for r in cert.matrix.data],
         "fixedEdges": [[lab, c] for lab, c in cert.fixed_edges],
         "irreducible": cert.irreducibility.irreducible,

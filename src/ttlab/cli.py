@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 semantic failure (invalid track, failed check,
 search budget exceeded), 2 usage or input errors (bad syntax, unknown
 entry, unreadable file, a tolerance that is not finite and positive, a
 search depth out of range), 3 a verdict that disagrees with `--expect`.
+`main` returns the code instead of exiting, 2 for a usage error included,
+so it can be called in-process.
 """
 
 from __future__ import annotations
@@ -456,9 +458,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run a command and print what it returns: its output (text or a JSON
     payload), or (output, note for stderr, exit code) when it may not exit
-    0.  Returns the exit code."""
+    0.  Returns the exit code: 2 for a usage error, 0 after --help."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    try:
+        args = build_parser(argv).parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or help
+        return exc.code
     try:
         result = args.func(args)
         output, note, code = (result if isinstance(result, tuple)

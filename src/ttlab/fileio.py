@@ -36,7 +36,7 @@ from .atlas import entry
 from .errors import BadIndex, InvalidTrack, ParseError, TrackError, UnknownEntry
 from .morphism import TrackMorphism
 from .splitting import SplitMove, format_sequence, parse_sequence
-from .track import Switch, TrainTrack, format_end, is_name, parse_end
+from .track import NAME_RULE, Switch, TrainTrack, format_end, is_name, parse_end
 from .words import format_word, parse_word
 
 _HEADER_RE = re.compile(r"^\[\s*(track|switch|map|sequence)\s+([^\s\]]+)\s*\]$")
@@ -165,11 +165,10 @@ def _resolve_doc_track(ref: str, doc: Document, line: int) -> TrainTrack:
 
 def _header(kind: str, name: str) -> str:
     """The section header `[kind name]`.  Raises BadIndex for a name that
-    parse_document would not read back: empty, or holding whitespace, ']'
-    or '#'."""
+    parse_document would not read back (NAME_RULE)."""
     if not is_name(name):
-        raise BadIndex(f"{kind} name {name!r} cannot head a section: names "
-                       "are non-empty, without whitespace, ']' or '#'")
+        raise BadIndex(f"{kind} name {name!r} cannot head a section: "
+                       f"{NAME_RULE}")
     return f"[{kind} {name}]"
 
 

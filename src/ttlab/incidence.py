@@ -85,7 +85,6 @@ def fixed_edge_points(mat: IncidenceMatrix) -> tuple[tuple[str, int], ...]:
 class IrreducibilityReport(NamedTuple):
     irreducible: bool
     witness: tuple[str, ...]  # out-closed proper edge set, empty when irreducible
-    scc_count: int
 
 
 def irreducibility(mat: IncidenceMatrix) -> IrreducibilityReport:
@@ -108,12 +107,12 @@ def irreducibility(mat: IncidenceMatrix) -> IrreducibilityReport:
         reach.append(seen)
     comps = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
     if len(comps) == 1:
-        return IrreducibilityReport(True, (), 1)
+        return IrreducibilityReport(True, ())
     # a sink component reaches nothing outside itself
     sinks = [tuple(sorted(mat.rows[j] for j in c)) for c in comps
              if c == reach[min(c)]]
     witness = min(sinks)  # deterministic pick
-    return IrreducibilityReport(False, witness, len(comps))
+    return IrreducibilityReport(False, witness)
 
 
 class PrimitivityReport(NamedTuple):

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .certify import Certificate, certify
 from .errors import BadIndex, NotAnIdentification, ResourceLimit
-from .incidence import check_tolerance
 from .morphism import TrackMorphism
 from .splitting import (
     SplitMove,
@@ -59,7 +58,6 @@ MAX_NODES = 50_000
 class SearchConfig(NamedTuple):
     max_depth: int = 4
     certify: bool = True
-    tolerance: float = 1e-10
     max_nodes: int = MAX_NODES
     # certificate filters; they narrow what is emitted, never what is found
     require_fixed_point_free: bool = False
@@ -117,7 +115,7 @@ def _package(run: SplitRun, isos: tuple[TrackIso, ...], cfg: SearchConfig,
             key = (run.final.switches, sm.images)
             cert = certified.get(key)
             if cert is None:
-                cert = certified[key] = certify(sm, tol=cfg.tolerance)
+                cert = certified[key] = certify(sm)
             else:
                 cert = cert._replace(map_name=sm.name)
             if not _admits(cert, cfg):
@@ -243,12 +241,10 @@ def search_loops(seed: TrainTrack,
     """Enumerate all loops from the seed up to the configured depth.
 
     The result tuple is deterministic: sorted by move notation.  Raises
-    BadIndex for a depth outside 0..MAX_DEPTH or a tolerance that is not
-    finite and positive or a node budget below 1, and ResourceLimit once
-    more than `max_nodes` tracks are expanded.
+    BadIndex for a depth outside 0..MAX_DEPTH or a node budget below 1, and
+    ResourceLimit once more than `max_nodes` tracks are expanded.
     """
     cfg = config or SearchConfig()
-    check_tolerance(cfg.tolerance)
     if not 0 <= cfg.max_depth <= MAX_DEPTH:
         raise BadIndex(f"search depth must be between 0 and {MAX_DEPTH}, "
                        f"got {cfg.max_depth}")

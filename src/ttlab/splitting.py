@@ -190,8 +190,11 @@ def _moved(track, e: End, d: int, side: int,
 
 
 def _split(track, move: SplitMove) -> tuple[tuple[Switch, ...], _Runs]:
-    """split_switches, with the runs of ends whose sites the move
-    shifted."""
+    """The switches of the track `move` splits `track` into, in the same
+    order and under the same names, and the runs of ends whose sites the
+    move shifted.  This is the structure-only kernel of apply_split: no
+    track is built or validated.  Switches the move leaves alone are the
+    original objects."""
     last = _extremity(track, move)
     if last is None:
         _reject(track, move)
@@ -206,14 +209,6 @@ def _split(track, move: SplitMove) -> tuple[tuple[Switch, ...], _Runs]:
     if same and w == v and at > idx:
         at -= 1  # the slid end leaves from before the far end
     return _moved(track, move.slid, w, side_f, at + (last == same))
-
-
-def split_switches(track: TrainTrack, move: SplitMove) -> tuple[Switch, ...]:
-    """The switches of the track `move` splits `track` into, in the same
-    order and under the same names.  This is the structure-only kernel of
-    apply_split: no track is built or validated.  Switches the move leaves
-    alone are the original objects."""
-    return _split(track, move)[0]
 
 
 def _images(edges: tuple[str, ...], moves) -> dict[str, Word]:
@@ -234,7 +229,7 @@ def _images(edges: tuple[str, ...], moves) -> dict[str, Word]:
 
 def apply_split(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphism]:
     """Perform one move; returns (new track, morphism new -> old)."""
-    new_track = TrainTrack(track.name, track.edges, split_switches(track, move))
+    new_track = TrainTrack(track.name, track.edges, _split(track, move)[0])
     morphism = TrackMorphism(new_track, track, _images(track.edges, (move,)),
                              name=str(move))
     return new_track, morphism
@@ -245,7 +240,7 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
 
     The result T satisfies apply_split(T, move) == (track, same morphism).
     Candidates put the slid end at either extremity of the side opposite
-    the over end; the one that split_switches takes back to `track` wins.
+    the over end; the one that the move splits back into `track` wins.
     At most one can: the move slides the first end on one candidate and the
     last on the other, so it puts the slid end before the far end of the
     over edge on one and after it on the other.
@@ -258,7 +253,7 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
         try:
             cand = TrainTrack(track.name, track.edges,
                               _moved(track, move.slid, k, opp, at)[0])
-            back = split_switches(cand, move)
+            back = _split(cand, move)[0]
         except (IllegalMove, InvalidTrack):
             continue
         if back == track.switches:
@@ -283,10 +278,10 @@ class SplitRun(NamedTuple):
 
 def _finish(start: TrainTrack, final: TrainTrack,
             moves: tuple[SplitMove, ...]) -> SplitRun:
-    """The run of the legal `moves` from `start` to `final`."""
-    name = ".".join(["id"] + [str(mv) for mv in moves])
+    """The run of the legal `moves` from `start` to `final`; its morphism
+    is unnamed."""
     return SplitRun(start, final, moves, TrackMorphism(
-        final, start, _images(start.edges, moves), name=name))
+        final, start, _images(start.edges, moves)))
 
 
 def apply_sequence(track: TrainTrack, moves) -> SplitRun:

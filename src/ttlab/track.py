@@ -34,6 +34,7 @@ from .words import (
 End = tuple[str, str]  # (edge label, "i" or "t")
 
 _NAME_RE = re.compile(r"[^\s\]#]+")  # what a section header reads back
+NAME_RULE = "names are non-empty, without whitespace, ']' or '#'"
 
 
 def is_name(text: str) -> bool:
@@ -51,14 +52,14 @@ def format_end(e: End) -> str:
     return f"{e[1]}({e[0]})"
 
 
-def parse_end(token: str, line: int | None = None, col: int | None = None) -> End:
+def parse_end(token: str, line: int | None = None) -> End:
     token = token.strip()
     if len(token) >= 4 and token[0] in "it" and token[1] == "(" and token.endswith(")"):
         label = token[2:-1]
         if is_label(label):
             return (label, token[0])
-        raise ParseError(f"bad end token {token!r}: {LABEL_RULE}", line, col)
-    raise ParseError(f"bad end token {token!r}, expected t(x) or i(x)", line, col)
+        raise ParseError(f"bad end token {token!r}: {LABEL_RULE}", line)
+    raise ParseError(f"bad end token {token!r}, expected t(x) or i(x)", line)
 
 
 # letter traversal: (x, +1) runs from i(x) to t(x)
@@ -99,15 +100,6 @@ class Switch(NamedTuple):
         """The lesser of (A, B) and (reversed B, reversed A)."""
         return min((self.side_a, self.side_b),
                    (tuple(reversed(self.side_b)), tuple(reversed(self.side_a))))
-
-
-def side_profile(switches) -> tuple[int, ...]:
-    """Sorted multiset of the side sizes of `switches`."""
-    sizes = []
-    for sw in switches:
-        sizes.append(len(sw.side_a))
-        sizes.append(len(sw.side_b))
-    return tuple(sorted(sizes))
 
 
 class BoundaryCurve(NamedTuple):
@@ -172,8 +164,7 @@ class TrainTrack:
                            *(("switch", sw.name) for sw in self.switches)):
             if not is_name(name):
                 raise InvalidTrack(f"{kind} name {name!r} cannot head a "
-                                   "section: names are non-empty, without "
-                                   "whitespace, ']' or '#'")
+                                   f"section: {NAME_RULE}")
         seen_sw = set()
         for sw in self.switches:
             if sw.name in seen_sw:
@@ -247,7 +238,8 @@ class TrainTrack:
     @cached_property
     def side_profile(self) -> tuple[int, ...]:
         """Sorted multiset of side sizes; cheap isomorphism prefilter."""
-        return side_profile(self.switches)
+        return tuple(sorted(len(side) for sw in self.switches
+                            for side in (sw.side_a, sw.side_b)))
 
     def switch_of(self, e: End) -> str:
         return self.switches[self.end_site[e][0]].name
@@ -411,7 +403,6 @@ class TrackIso(NamedTuple):
     """
 
     label_map: tuple[tuple[str, str], ...]
-    switch_map: tuple[tuple[str, str], ...]
 
     @property
     def labels(self) -> dict[str, str]:
@@ -464,8 +455,7 @@ def isomorphisms(src: TrainTrack, dst: TrainTrack) -> tuple[TrackIso, ...]:
         if maps and start not in maps[0]:
             maps = [grown for fmap in maps for d in d_site
                     if (grown := walk(fmap, start, d)) is not None]
-    return tuple(sorted((TrackIso(
-        tuple(sorted((e[0], d[0]) for e, d in fmap.items() if e[1] == "i")),
-        tuple(sorted({src.switch_of(e): dst.switch_of(d)
-                      for e, d in fmap.items()}.items())),
-    ) for fmap in maps), key=lambda iso: iso.label_map))
+    return tuple(sorted(
+        TrackIso(tuple(sorted((e[0], d[0]) for e, d in fmap.items()
+                              if e[1] == "i")))
+        for fmap in maps))

@@ -107,7 +107,7 @@ def test_phi1_marked_itineraries():
     sd = side_dynamics(phi1())
     p = _point(sd, 1, 5)
     assert p.label == "c"
-    assert [lab for *_, lab in p.itinerary] == ["c", "k", "h"]
+    assert p.marked_labels == ("c", "k", "h")
     assert p.rendered == "[c*.d] -> k.[g.k*].j -> a.d.[h*.l] -> l.[c*.d].f"
     q = _point(sd, 0, 0)
     assert q.rendered == "[b*.f] -> f.[i*.j].l.a -> [e*.a].d -> j.[b*.f].k"
@@ -118,7 +118,7 @@ def test_phi2_marked_itineraries():
     assert sd.total_points == 12
     p = _point(sd, 1, 5)
     assert p.rendered == "[c*.d] -> k.[i.k*].j -> e.a.d.[h*.l].a -> l.[c*.d].f"
-    assert [lab for *_, lab in p.itinerary] == ["c", "k", "h"]
+    assert p.marked_labels == ("c", "k", "h")
     q = _point(sd, 0, 0)
     assert q.rendered == "[b*.f] -> f.[g.j*].l.a.e -> a.[e*.a].d -> j.[b*.f].k"
 

@@ -76,7 +76,6 @@ def test_identity_certificate():
     assert cert.fixed_point_free is False
     assert len(cert.fixed_edges) == 12
     assert all(count == 1 for _, count in cert.fixed_edges)
-    assert cert.irreducibility.scc_count == 12
 
 
 RELABELLED_MAPS = ("phi1", "phi2", "phi3", "phi:5", "phi:7",

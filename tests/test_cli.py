@@ -89,9 +89,7 @@ def test_track_export_dot(capsys):
 ], ids=" ".join)
 def test_document_and_graph_writers_take_no_json(capsys, argv):
     # they print a document or a graph, which --json never changed
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--json"])
-    assert exc.value.code == 2
+    assert main([*argv, "--json"]) == 2
     assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
@@ -393,9 +391,7 @@ def test_search_loops_budget_and_bad_parameters(capsys):
                          "--no-certify", *extra)
         assert code == 2
     # verdicts never read the Perron bracket, so the search takes no --tol
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "loops", "atlas:tau_prime", "--tol", "1e-3"])
-    assert exc.value.code == 2
+    assert main(["search", "loops", "atlas:tau_prime", "--tol", "1e-3"]) == 2
 
 
 def test_search_node_budget_defaults_to_50000(capsys, monkeypatch):
@@ -408,8 +404,7 @@ def test_search_node_budget_defaults_to_50000(capsys, monkeypatch):
                      "--depth", "1", "--no-certify")
     assert code == 0
     assert [cfg.max_nodes for cfg in seen] == [SearchConfig().max_nodes] == [50_000]
-    with pytest.raises(SystemExit):
-        main(["search", "loops", "--help"])
+    assert main(["search", "loops", "--help"]) == 0
     assert "(default 50000)" in " ".join(capsys.readouterr().out.split())
 
 
@@ -563,9 +558,10 @@ _HELP_PAGES = [["-h"]] + [[group, "-h"] for group, _, _ in _COMMANDS] + [
 ], ids=" ".join)
 def test_lean_parser_matches_the_full_tree(argv):
     # main builds arguments for the named command alone; every help page and
-    # usage error must read as the full tree's, byte for byte
+    # usage error must read as the full tree's, byte for byte, and main
+    # returns the code that the full tree exits with
     want = _parse_outcome(lambda a: build_parser().parse_args(a), argv)
-    assert _parse_outcome(main, argv) == want
+    assert _parse_outcome(lambda a: sys.exit(main(a)), argv) == want
 
 
 def test_main_builds_arguments_for_the_named_command_only(capsys,
@@ -714,6 +710,5 @@ def test_every_argument_has_help(capsys):
     for group, _, commands in _COMMANDS:
         for name, _, arguments in commands:
             assert all("help" in kw for kw in arguments.values()), (group, name)
-    with pytest.raises(SystemExit):
-        main(["map", "certify", "--help"])
+    assert main(["map", "certify", "--help"]) == 0
     assert "exit 3 unless the verdict matches" in capsys.readouterr().out

@@ -66,7 +66,6 @@ def test_identity_matrix_is_diagonal():
     assert fixed_edge_points(mat) == tuple((lab, 1) for lab in mat.rows)
     rep = irreducibility(mat)
     assert not rep.irreducible
-    assert rep.scc_count == 12
 
 
 def test_permutation_matrix_of_involution():
@@ -229,7 +228,6 @@ def test_irreducibility_matches_warshall_closure(data):
     classes = {frozenset(j for j in range(n) if reach[i][j] and reach[j][i])
                for i in range(n)}
     assert rep.irreducible == all(all(row) for row in reach)
-    assert rep.scc_count == len(classes)
     if rep.irreducible:
         assert rep.witness == ()
         return
@@ -242,26 +240,32 @@ def test_irreducibility_matches_warshall_closure(data):
 
 
 def _fraction_dilatation(mat, tol, max_iterations):
-    """The Perron bracket with a reduced Fraction for every Collatz-Wielandt
-    quotient: the reference that `dilatation`, which picks the extremes by
-    float and settles them in integers, must match field by field."""
+    """The Perron bracket with every Collatz-Wielandt quotient kept as an
+    exact (numerator, denominator) pair and compared by cross-multiplying:
+    the reference that `dilatation`, which picks the extremes by float and
+    settles them in integers, must match field by field."""
     a = mat.data
     n = len(a)
-    tol_f = Fraction(tol)
+    tol_n, tol_d = tol.as_integer_ratio()
 
     def bracket(matrix):
         v = [1] * n
-        lo_best, hi_best = Fraction(0), None
+        lo_best, hi_best = (0, 1), None
         for it in range(1, max_iterations + 1):
             w = [sum(x * y for x, y in zip(row, v)) for row in matrix]
-            quots = [Fraction(wi, vi) for wi, vi in zip(w, v)]
-            lo, hi = min(quots), max(quots)
-            if lo > lo_best:
+            lo = hi = (w[0], v[0])  # every v[i] > 0: the matrix is irreducible
+            for wi, vi in zip(w, v):
+                if wi * lo[1] < lo[0] * vi:
+                    lo = (wi, vi)
+                if wi * hi[1] > hi[0] * vi:
+                    hi = (wi, vi)
+            if lo[0] * lo_best[1] > lo_best[0] * lo[1]:
                 lo_best = lo
-            if hi_best is None or hi < hi_best:
+            if hi_best is None or hi[0] * hi_best[1] < hi_best[0] * hi[1]:
                 hi_best = hi
-            if hi_best - lo_best < tol_f and lo_best > 0:
-                return lo_best, hi_best, v, it
+            (ln, ld), (hn, hd) = lo_best, hi_best
+            if (hn * ld - ln * hd) * tol_d < tol_n * hd * ld and ln > 0:
+                return Fraction(ln, ld), Fraction(hn, hd), v, it
             g = 0
             for x in w:
                 g = gcd(g, x)
