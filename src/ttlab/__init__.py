@@ -51,7 +51,6 @@ from .morphism import (
 from .search import LoopResult, SearchConfig, replay, search_loops
 from .splitting import (
     SplitMove,
-    SplitRun,
     apply_sequence,
     apply_split,
     format_sequence,
@@ -88,7 +87,7 @@ __all__ = [
     "InvalidMorphism", "InvalidTrack", "LoopResult", "NoConvergence",
     "NotASelfMap", "NotIrreducible", "NotOrientable", "NotPrimitive",
     "ParseError", "PeriodicPoint", "PerronData", "ResourceLimit",
-    "SearchConfig", "SideDynamics", "SideOrbit", "SplitMove", "SplitRun",
+    "SearchConfig", "SideDynamics", "SideOrbit", "SplitMove",
     "Switch", "TrackError", "TrackIso", "TrackMorphism", "TrainTrack",
     "UnknownEntry", "apply_sequence", "apply_split", "atlas",
     "boundary_action", "certify", "compose", "compose_chain", "dilatation",

@@ -42,7 +42,6 @@ from .words import (
 
 
 class CurveImage(NamedTuple):
-    source_index: int
     target_index: int
     rotation: int  # in letters: reduced image == rotate(target word, rotation)
     cusp_images: tuple[int, ...]  # target cusp index per source cusp
@@ -57,7 +56,7 @@ class CurveImage(NamedTuple):
 
 
 class BoundaryAction(NamedTuple):
-    curves: tuple[CurveImage, ...]
+    curves: tuple[CurveImage, ...]  # the image of source curve i at index i
     warnings: tuple[str, ...]
 
 
@@ -136,7 +135,7 @@ def boundary_action(m: TrackMorphism) -> BoundaryAction:
             if len(shifts) == 1:
                 shift = shifts.pop()
         images.append(
-            CurveImage(i, j, r, cusp_imgs, shift, tuple(depths))
+            CurveImage(j, r, cusp_imgs, shift, tuple(depths))
         )
 
     return BoundaryAction(tuple(images), tuple(warnings))
@@ -150,8 +149,7 @@ class PeriodicPoint(NamedTuple):
     curve: int
     side: int
     letter: int  # index within the side word of the letter carrying the point
-    label: str
-    # the label of the covering letter at each orbit step from this side
+    # the covering letter's label at each orbit step, this side's first
     marked_labels: tuple[str, ...]
     rendered: str
 
@@ -288,8 +286,7 @@ def side_dynamics(m: TrackMorphism, action: BoundaryAction | None = None) -> Sid
                                             format_word(overhangs[s][1], sep="."))))
                      for k, s in enumerate(orb)]
             points = tuple(
-                PeriodicPoint(*orb[j], qs[j], labels[j],
-                              tuple(labels[j:] + labels[:j]),
+                PeriodicPoint(*orb[j], qs[j], tuple(labels[j:] + labels[:j]),
                               " -> ".join([marked[j], *steps[j:], *steps[:j]]))
                 for j in range(p)
             )

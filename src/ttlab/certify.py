@@ -209,9 +209,9 @@ def render_text(cert: Certificate) -> str:
             "weights: " + " ".join(f"{w:.9f}" for w in p.weights)
         )
     if cert.boundary is not None:
-        for ci in cert.boundary.curves:
+        for i, ci in enumerate(cert.boundary.curves):
             folds = "".join(f" {d}" for d in ci.fold_depths)  # one per cusp
-            lines.append(f"boundary {ci.source_index} -> {ci.target_index}, "
+            lines.append(f"boundary {i} -> {ci.target_index}, "
                          f"rotation {ci.rotation} letters, {ci.shift_text}"
                          + (f", fold depths{folds}" if folds else ""))
     if cert.sides is not None:
@@ -225,7 +225,7 @@ def render_text(cert: Certificate) -> str:
             for pt in orbit.points:
                 lines.append(
                     f"  side {pt.curve}.{pt.side}: point in letter "
-                    f"{pt.label} ({pt.letter}), letters "
+                    f"{pt.marked_labels[0]} ({pt.letter}), letters "
                     + " -> ".join(pt.marked_labels)
                 )
                 lines.append(f"    {pt.rendered}")
@@ -280,14 +280,14 @@ def to_json_dict(cert: Certificate) -> dict:
     if cert.boundary:
         d["boundary"] = [
             {
-                "source": ci.source_index,
+                "source": i,
                 "target": ci.target_index,
                 "rotation": ci.rotation,
                 "cuspImages": list(ci.cusp_images),
                 "cuspShift": ci.cusp_shift,
                 "foldDepths": list(ci.fold_depths),
             }
-            for ci in cert.boundary.curves
+            for i, ci in enumerate(cert.boundary.curves)
         ]
     else:
         d["boundary"] = None
@@ -302,7 +302,7 @@ def to_json_dict(cert: Certificate) -> dict:
                     {
                         "side": [pt.curve, pt.side],
                         "letter": pt.letter,
-                        "label": pt.label,
+                        "label": pt.marked_labels[0],
                         "letters": list(pt.marked_labels),
                         "rendered": pt.rendered,
                     }

@@ -43,7 +43,7 @@ from .morphism import TrackMorphism, compose_chain
 from .search import MAX_DEPTH, MAX_NODES, SearchConfig, search_loops
 from .splitting import apply_sequence, format_sequence, legal_splits
 from .track import EulerData, TrainTrack, format_end, tracks_equal
-from .words import format_word
+from .words import format_letter, format_word
 
 
 def _emit(output, out: str | None) -> None:
@@ -212,18 +212,19 @@ def cmd_map_boundaries(args):
         return {
             "curves": [
                 {
-                    "source": ci.source_index,
+                    "source": i,
                     "target": ci.target_index,
                     "rotation": ci.rotation,
                     "cuspShift": ci.cusp_shift,
                     "foldDepths": list(ci.fold_depths),
                 }
-                for ci in action.curves
+                for i, ci in enumerate(action.curves)
             ],
             "warnings": list(action.warnings),
         }
-    lines = [f"curve {ci.source_index} -> curve {ci.target_index}, rotation "
-             f"{ci.rotation}, {ci.shift_text}" for ci in action.curves]
+    lines = [f"curve {i} -> curve {ci.target_index}, rotation "
+             f"{ci.rotation}, {ci.shift_text}"
+             for i, ci in enumerate(action.curves)]
     lines += [f"warning: {w}" for w in action.warnings]
     return "\n".join(lines)
 
@@ -242,10 +243,10 @@ def cmd_seq_parse(args):
 def cmd_seq_apply(args):
     t = resolve_track(args.track)
     moves = resolve_sequence(args.spec)
-    run = apply_sequence(t, moves)
+    comp = apply_sequence(t, moves)
     start = t.renamed("start")
-    final = run.final.renamed("final")
-    comp = TrackMorphism(final, start, run.morphism.images, name="composite")
+    final = comp.source.renamed("final")
+    comp = TrackMorphism(final, start, comp.images, name="composite")
     if args.json:
         return {
             "moves": len(moves),
@@ -271,7 +272,7 @@ def cmd_atlas_list(args):
 def cmd_atlas_export(args):
     kind, entry = _atlas.entry(args.name)
     if kind == "track":
-        return dump_track(entry)
+        return _track_dict(entry) if args.json else dump_track(entry)
     if kind == "map":
         if args.json:
             return {"name": entry.name, "source": entry.source.name,
@@ -281,9 +282,13 @@ def cmd_atlas_export(args):
         tracks.setdefault(entry.target.name, entry.target)
         return dump_document(Document(tracks, {entry.name: entry}))
     if kind == "labels":
-        return "\n".join(f"{k} -> {v}" for k, v in sorted(entry.items()))
+        return entry if args.json else "\n".join(
+            f"{k} -> {v}" for k, v in sorted(entry.items()))
     if kind == "word":
-        return format_word(entry)
+        return ([format_letter(lt) for lt in entry] if args.json
+                else format_word(entry))
+    if args.json:
+        return [str(m) for m in entry]
     return dump_sequence(entry, name=args.name.replace(":", "_"))
 
 
@@ -317,15 +322,14 @@ def cmd_search_loops(args):
         os.makedirs(args.out_dir, exist_ok=True)
         for idx, r in enumerate(results, start=1):
             stem = f"loop-{idx:03d}"
-            parts = [dump_sequence(r.sequence, name=stem),
-                     dump_track(r.final.renamed("final"))]
-            for j, sm in enumerate(r.self_maps, start=1):
-                parts.append(dump_map(sm, name=f"{stem}-self-{j}",
-                                      source_ref="final",
-                                      target_ref="final"))
+            final = r.composite.source.renamed("final")
+            doc = Document({"final": final}, {
+                f"{stem}-self-{j}": TrackMorphism(final, final, sm.images)
+                for j, sm in enumerate(r.self_maps, start=1)},
+                {stem: r.sequence})
             with open(os.path.join(args.out_dir, stem + ".tt"), "w",
                       encoding="utf-8") as fh:
-                fh.write("\n".join(parts))
+                fh.write(dump_document(doc))
     if args.json:
         payload = []
         for r in results:

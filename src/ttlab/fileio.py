@@ -184,12 +184,11 @@ def dump_track(track: TrainTrack) -> str:
     return "\n".join(out) + "\n"
 
 
-def dump_map(m: TrackMorphism, name: str | None = None,
-             source_ref: str | None = None, target_ref: str | None = None) -> str:
+def dump_map(m: TrackMorphism, name: str | None = None) -> str:
     out = [
         _header("map", name or m.name or "map"),
-        f"source = {source_ref or m.source.name}",
-        f"target = {target_ref or m.target.name}",
+        f"source = {m.source.name}",
+        f"target = {m.target.name}",
     ]
     for lab, w in m.images:
         out.append(f"{lab} = {format_word(w)}")
@@ -201,9 +200,10 @@ def dump_sequence(moves, name: str = "seq") -> str:
 
 
 def dump_document(doc: Document) -> str:
-    parts = [dump_track(t) for t in doc.tracks.values()]
+    """Sequences, then tracks, then maps, each in its table's order."""
+    parts = [dump_sequence(s, name) for name, s in doc.sequences.items()]
+    parts += [dump_track(t) for t in doc.tracks.values()]
     parts += [dump_map(m, name) for name, m in doc.maps.items()]
-    parts += [dump_sequence(s, name) for name, s in doc.sequences.items()]
     return "\n".join(parts)
 
 

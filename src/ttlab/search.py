@@ -31,8 +31,7 @@ from .errors import BadIndex, NotAnIdentification, ResourceLimit
 from .morphism import TrackMorphism
 from .splitting import (
     SplitMove,
-    SplitRun,
-    _finish,
+    _images,
     _Layout,
     _moves_at,
     _split,
@@ -71,9 +70,7 @@ class SearchConfig(NamedTuple):
 
 class LoopResult(NamedTuple):
     sequence: tuple[SplitMove, ...]
-    seed: TrainTrack
-    final: TrainTrack
-    composite: TrackMorphism          # final -> seed
+    composite: TrackMorphism          # final track -> seed
     identifications: tuple[TrackIso, ...]
     self_maps: tuple[TrackMorphism, ...]   # on the final track, aligned
     certificates: tuple[Certificate, ...]  # aligned, empty when not certified
@@ -95,24 +92,27 @@ def _admits(cert: Certificate, cfg: SearchConfig) -> bool:
     return True
 
 
-def _package(run: SplitRun, isos: tuple[TrackIso, ...], cfg: SearchConfig,
+def _package(moves: tuple[SplitMove, ...], composite: TrackMorphism,
+             isos: tuple[TrackIso, ...], cfg: SearchConfig,
              certified: dict[tuple, Certificate]) -> LoopResult | None:
-    """The loop `run` with its closures by `isos`, or None when the
-    filters drop them all.  `certified` maps (final switches, images), the
-    inputs of `certify` that vary within one search, to the certificate
-    already made for them, and gains the ones made here."""
+    """The loop of `moves`, whose composite is `composite`, with its
+    closures by `isos`, or None when the filters drop them all.
+    `certified` maps (final switches, images), the inputs of `certify` that
+    vary within one search, to the certificate already made for them, and
+    gains the ones made here."""
+    final = composite.source
     kept_isos = []
     self_maps = []
     certs = []
     for iso in isos:
         # iso: seed -> final renames letters, which keeps images reduced
         rename = {(x, s): (y, s) for x, y in iso.label_map for s in (1, -1)}
-        sm = TrackMorphism(run.final, run.final,
+        sm = TrackMorphism(final, final,
                            {x: tuple(map(rename.__getitem__, w))
-                            for x, w in run.morphism.images},
-                           name=f"loop[{format_sequence(run.moves)}]")
+                            for x, w in composite.images},
+                           name=f"loop[{format_sequence(moves)}]")
         if cfg.needs_certificates:
-            key = (run.final.switches, sm.images)
+            key = (final.switches, sm.images)
             cert = certified.get(key)
             if cert is None:
                 cert = certified[key] = certify(sm)
@@ -125,8 +125,7 @@ def _package(run: SplitRun, isos: tuple[TrackIso, ...], cfg: SearchConfig,
         self_maps.append(sm)
     if not kept_isos:
         return None
-    return LoopResult(sequence=run.moves, seed=run.start, final=run.final,
-                      composite=run.morphism,
+    return LoopResult(sequence=moves, composite=composite,
                       identifications=tuple(kept_isos),
                       self_maps=tuple(self_maps), certificates=tuple(certs))
 
@@ -258,7 +257,8 @@ def search_loops(seed: TrainTrack,
     certified: dict[tuple, Certificate] = {}
     for moves, (final, isos) in sorted(
             found, key=lambda f: tuple(str(m) for m in f[0])):
-        packed = _package(_finish(seed, final, moves), isos, cfg, certified)
+        composite = TrackMorphism(final, seed, _images(seed.edges, moves))
+        packed = _package(moves, composite, isos, cfg, certified)
         if packed is not None:
             results.append(packed)
     return tuple(results)
@@ -275,8 +275,9 @@ def replay(seed: TrainTrack, moves,
     NotAnIdentification.  The certificate is always recomputed.
     """
     cfg = config or SearchConfig()
-    run = apply_sequence(seed, tuple(moves))
-    isos = isomorphisms(seed, run.final)
+    moves = tuple(moves)
+    composite = apply_sequence(seed, moves)
+    isos = isomorphisms(seed, composite.source)
     if not isos:
         raise NotAnIdentification(
             f"the sequence ends on a track not isomorphic to {seed.name}")
@@ -285,7 +286,7 @@ def replay(seed: TrainTrack, moves,
         if not isos:
             raise NotAnIdentification(
                 "the given label bijection does not close this loop")
-    packed = _package(run, isos, cfg, {})
+    packed = _package(moves, composite, isos, cfg, {})
     if packed is None:
         raise NotAnIdentification(
             "no closure of this loop passes the configured filters")

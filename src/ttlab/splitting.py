@@ -269,24 +269,10 @@ def unsplit(track: TrainTrack, move: SplitMove) -> tuple[TrainTrack, TrackMorphi
 # ----------------------------------------------------------------------
 
 
-class SplitRun(NamedTuple):
-    start: TrainTrack
-    final: TrainTrack
-    moves: tuple[SplitMove, ...]
-    morphism: TrackMorphism  # final -> start
-
-
-def _finish(start: TrainTrack, final: TrainTrack,
-            moves: tuple[SplitMove, ...]) -> SplitRun:
-    """The run of the legal `moves` from `start` to `final`; its morphism
-    is unnamed."""
-    return SplitRun(start, final, moves, TrackMorphism(
-        final, start, _images(start.edges, moves)))
-
-
-def apply_sequence(track: TrainTrack, moves) -> SplitRun:
-    """Apply moves in order; the composite morphism maps the final track back
-    to the start.  IllegalMove carries the index and the track reached.
+def apply_sequence(track: TrainTrack, moves) -> TrackMorphism:
+    """Apply moves in order; returns the unnamed composite morphism, which
+    maps the final track back to `track`.  IllegalMove carries the index
+    and the track reached.
 
     Every move is checked for legality on one layout, updated in place by
     re-siting only the ends the move shifts; only the final track, or the
@@ -302,8 +288,8 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
             return track
         return TrainTrack(track.name, track.edges, layout.switches)
 
-    mv_tuple = tuple(moves)
-    for i, mv in enumerate(mv_tuple):
+    moves = tuple(moves)
+    for i, mv in enumerate(moves):
         try:
             layout.split(*_split(layout, mv))
         except IllegalMove as exc:
@@ -311,4 +297,4 @@ def apply_sequence(track: TrainTrack, moves) -> SplitRun:
                 f"move {i}: {exc}", index=i, move=mv, reason=exc.reason,
                 track=reached(),
             ) from exc
-    return _finish(track, reached(), mv_tuple)
+    return TrackMorphism(reached(), track, _images(track.edges, moves))

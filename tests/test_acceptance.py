@@ -51,7 +51,7 @@ def test_criterion_1_reconstruction():
 
 def test_criterion_2_s1_closure():
     run = apply_sequence(A.initial_track(), A.s1_moves())
-    isos = isomorphisms(A.initial_track(), run.final)
+    isos = isomorphisms(A.initial_track(), run.source)
     assert len(isos) == 2
     result = replay(A.initial_track(), A.s1_moves(), A.identification_ii())
     assert len(result.self_maps) == 1
@@ -77,7 +77,7 @@ def test_criterion_3_phi1_reducible():
 
 def test_criterion_4_twist_composite():
     run = apply_sequence(A.base_track(), A.twist_ig_moves())
-    words = {lab: format_word(w) for lab, w in run.morphism.mapping.items()}
+    words = {lab: format_word(w) for lab, w in run.mapping.items()}
     assert words["f"] == "f i"
     assert words["j"] == "i j"
     assert words["k"] == "g k g"

@@ -135,16 +135,16 @@ def test_alpha_is_the_relabel():
 
 def test_s1_lands_on_base_track():
     run = apply_sequence(A.initial_track(), A.s1_moves())
-    assert len(run.moves) == 12
-    assert tracks_equal(run.final, A.base_track())
-    isos = isomorphisms(A.initial_track(), run.final)
+    assert len(A.s1_moves()) == 12
+    assert tracks_equal(run.source, A.base_track())
+    isos = isomorphisms(A.initial_track(), run.source)
     assert len(isos) == 2
     assert any(dict(i.labels) == A.identification_ii() for i in isos)
 
 
 def test_s1_closures_differ_by_involution():
     run = apply_sequence(A.initial_track(), A.s1_moves())
-    isos = isomorphisms(A.initial_track(), run.final)
+    isos = isomorphisms(A.initial_track(), run.source)
     beta = {x: y for x, y in A.INVOLUTION_PAIRS}
     beta.update({y: x for x, y in A.INVOLUTION_PAIRS})
     one, two = (dict(i.labels) for i in isos)
@@ -153,11 +153,11 @@ def test_s1_closures_differ_by_involution():
 
 def test_twist_sequences_compose_to_twist_morphisms():
     run = apply_sequence(A.base_track(), A.twist_ig_moves())
-    assert tracks_equal(run.final, A.twisted_track())
-    assert run.morphism.mapping == A.t_ig().mapping
+    assert tracks_equal(run.source, A.twisted_track())
+    assert run.mapping == A.t_ig().mapping
     back = apply_sequence(A.twisted_track(), A.twist_gi_moves())
-    assert tracks_equal(back.final, A.base_track())
-    assert back.morphism.mapping == A.t_gi().mapping
+    assert tracks_equal(back.source, A.base_track())
+    assert back.mapping == A.t_gi().mapping
 
 
 def test_splitting_sequence_layout():

@@ -12,6 +12,7 @@ from ttlab.errors import AlignmentError, NotASelfMap
 from ttlab.morphism import TrackMorphism, identity_morphism
 from ttlab.search import SearchConfig, search_loops
 from ttlab.track import Switch, TrainTrack
+from ttlab.words import cyclic_reduce_marked, rotate, substitute
 
 
 # Fold depths frozen from the certified runs; one entry per cusp side.
@@ -26,8 +27,8 @@ def test_phi1_boundary_action():
     act = boundary_action(phi1())
     assert tuple(ci.target_index for ci in act.curves) == (0, 1)
     assert act.warnings == ()
-    for ci in act.curves:
-        assert ci.source_index == ci.target_index
+    for i, ci in enumerate(act.curves):
+        assert i == ci.target_index
         assert ci.rotation == 4
         assert ci.cusp_shift == 2
         assert ci.fold_depths == FOLD_DEPTHS["phi1"]
@@ -55,8 +56,14 @@ def test_involution_swaps_curves():
 
 
 def test_curves_come_in_source_order():
-    act = boundary_action(phi1())
-    assert act.curves[0].source_index == 0
+    # curves[i] is the image of source curve i: the reduced image of its
+    # word is its target's word rotated
+    m = involution()
+    for curve, ci in zip(m.source.boundary_curves, boundary_action(m).curves,
+                         strict=True):
+        image, _ = cyclic_reduce_marked(substitute(curve.word, m.mapping))
+        target = m.target.boundary_curves[ci.target_index].word
+        assert image == rotate(target, ci.rotation)
 
 
 def test_cross_track_action_and_dynamics():
@@ -106,7 +113,6 @@ def _point(sd, curve, side):
 def test_phi1_marked_itineraries():
     sd = side_dynamics(phi1())
     p = _point(sd, 1, 5)
-    assert p.label == "c"
     assert p.marked_labels == ("c", "k", "h")
     assert p.rendered == "[c*.d] -> k.[g.k*].j -> a.d.[h*.l] -> l.[c*.d].f"
     q = _point(sd, 0, 0)

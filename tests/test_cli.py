@@ -4,12 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_certify import H22_ODD, MISS_WORDS
 
 from ttlab.atlas import (
@@ -24,7 +29,8 @@ from ttlab.cli import _COMMANDS, build_parser, main
 from ttlab.fileio import dump_map, dump_sequence, dump_track, parse_document
 from ttlab.incidence import PerronData
 from ttlab.morphism import compose
-from ttlab.search import SearchConfig
+from ttlab.search import SearchConfig, search_loops
+from ttlab.track import tracks_equal
 
 
 TWO_CIRCLES = """[track circles]
@@ -307,7 +313,7 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
 # for every plain name of `atlas list` and four family members, in that
 # order, followed by the stdout of `ttlab atlas list --json`
 CATALOGUE_SHA256 = (
-    "21fcc3ef675b0db0723cf3778f85249057c3b21bbed76dc2995ee95cdfa676fd")
+    "1114ad4773f1d97b09516401f885f3752d2788c75ed4543c3bb91c83a3f7baef")
 
 
 def test_catalogue_bytes_are_frozen(capsys):
@@ -364,8 +370,16 @@ def test_search_loops_out_dir(capsys, tmp_path):
     assert f"wrote 80 file(s) under {out_dir}" in out
     files = sorted(out_dir.glob("loop-*.tt"))
     assert len(files) == 80
-    doc = parse_document(files[0].read_text())
-    assert len(doc.sequences) == 1 and len(doc.maps) == 2
+    # each file reads back to its loop: sequence, final track, self maps
+    loops = search_loops(twisted_track(),
+                         SearchConfig(max_depth=4, certify=False))
+    for path, r in zip(files, loops, strict=True):
+        doc = parse_document(path.read_text())
+        assert doc.sequences == {path.stem: r.sequence}
+        assert tracks_equal(doc.tracks["final"], r.composite.source)
+        assert [(name, m.images) for name, m in doc.maps.items()] == [
+            (f"{path.stem}-self-{j}", sm.images)
+            for j, sm in enumerate(r.self_maps, start=1)]
 
 
 def test_depth_six_search_bytes_are_frozen(capsys):
@@ -712,3 +726,44 @@ def test_every_argument_has_help(capsys):
             assert all("help" in kw for kw in arguments.values()), (group, name)
     assert main(["map", "certify", "--help"]) == 0
     assert "exit 3 unless the verdict matches" in capsys.readouterr().out
+
+
+# `atlas export tau` and both example files, mutated token by token
+_FUZZ_SOURCES = (dump_track(base_track()),
+                 *(p.read_text() for p in sorted(H22_ODD.parent.glob("*.tt"))))
+_FUZZ_JUNK = ("", "=", "[", "]", "#", "/", "-", "i(", "t(a", "i(zz)", "t(a)",
+              "-a", "0", "edges", "side_a", "boundary", "[switch", "[track",
+              "v]", "\n")
+
+
+@st.composite
+def _mutated_documents(draw):
+    tokens = re.split(r"(\s+)", draw(st.sampled_from(_FUZZ_SOURCES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(_FUZZ_JUNK)
+                         | st.sampled_from(tuple(tokens))
+                         | st.text("()[]=#-/ abitv", max_size=4))
+    return "".join(tokens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_mutated_documents())
+def test_mutated_documents_fail_with_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.tt")
+        Path(path).write_text(text, encoding="utf-8")
+        for argv in (("track", "validate", path),
+                     ("track", "info", path, "--json"),
+                     ("search", "loops", path, "--depth", "3"),
+                     ("track", "export-dot", path)):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert time.perf_counter() - start < 20, argv
+            assert code in (0, 1, 2, 3), argv
+            if code:
+                assert err.getvalue().startswith("error: "), argv
+                assert err.getvalue().count("\n") == 1, argv

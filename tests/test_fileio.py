@@ -85,10 +85,10 @@ def _documents(draw):
         moves.append(options[pick % len(options)])
         t, _ = apply_split(t, moves[-1])
     run = apply_sequence(start, moves)
-    final = run.final.renamed("final")
+    final = run.source.renamed("final")
     return Document(
         tracks={start.name: start, "final": final},
-        maps={"walk": TrackMorphism(final, start, run.morphism.images)},
+        maps={"walk": TrackMorphism(final, start, run.images)},
         sequences={"walk": tuple(moves)},
     )
 
@@ -120,7 +120,7 @@ def test_writers_reject_names_no_header_can_hold(name):
 
 def test_map_external_source_reference():
     # a map section may point at tracks that live elsewhere
-    text = dump_map(A.phi1(), name="probe", source_ref="tau", target_ref="tau")
+    text = dump_map(A.phi1(), name="probe")
     assert "[map probe]" in text
     assert "source = tau" in text
     doc = parse_document(dump_track(A.base_track()) + "\n" + text)

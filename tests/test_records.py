@@ -14,7 +14,6 @@ from ttlab.errors import InvalidTrack
 from ttlab.incidence import incidence_matrix, irreducibility, primitivity
 from ttlab.morphism import TrackMorphism
 from ttlab.search import SearchConfig, replay
-from ttlab.splitting import apply_sequence
 from ttlab.track import isomorphisms
 
 
@@ -34,10 +33,9 @@ def _records():
         (irreducibility(mat), "witness"), (primitivity(mat), "exponent"),
         (cert.perron, "lower"), (cert, "verdict"), (cert.boundary, "curves"),
         (cert.boundary.curves[0], "rotation"), (cert.sides, "orbits"),
-        (orbit, "period"), (orbit.points[0], "label"),
-        (SearchConfig(), "max_nodes"), (loop, "final"),
+        (orbit, "period"), (orbit.points[0], "marked_labels"),
+        (SearchConfig(), "max_nodes"), (loop, "composite"),
         (loop.sequence[0], "slid"),
-        (apply_sequence(atlas.initial_track(), loop.sequence), "moves"),
     ]
 
 

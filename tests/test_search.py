@@ -72,7 +72,7 @@ def test_census_size_and_shape(census):
     assert all(len(r.sequence) == 4 for r in census)
     assert all(len(r.identifications) == 2 for r in census)
     assert all(len(r.self_maps) == 2 for r in census)
-    assert all(r.seed.name == "tau_prime" for r in census)
+    assert all(r.composite.target.name == "tau_prime" for r in census)
 
 
 def test_census_closures_all_reducible(census):
@@ -83,8 +83,8 @@ def test_census_closures_all_reducible(census):
 
 def test_census_sequences_replay_cleanly(census):
     for r in census[:10]:
-        run = apply_sequence(r.seed, r.sequence)
-        assert run.morphism.mapping == r.composite.mapping
+        run = apply_sequence(r.composite.target, r.sequence)
+        assert run.mapping == r.composite.mapping
     for r in census:
         for sm in r.self_maps:
             sm.check()
@@ -103,7 +103,7 @@ def test_search_loops_match_their_replays(make_seed, depth):
     for r in loops:
         again = replay(seed, r.sequence, config=SearchConfig(certify=False))
         assert r.composite.images == again.composite.images
-        assert r.final.switches == again.final.switches
+        assert r.composite.source.switches == again.composite.source.switches
         assert r.identifications == again.identifications
         assert [(sm.name, sm.images) for sm in r.self_maps] == \
             [(sm.name, sm.images) for sm in again.self_maps]
@@ -378,11 +378,12 @@ def test_certificates_survive_conjugation_onto_tau_prime(name):
 
 def test_census_certificates_survive_conjugation_onto_the_seed(census):
     for r in census:
-        isos = isomorphisms(r.seed, r.final)
+        isos = isomorphisms(r.composite.target, r.composite.source)
         assert len(isos) == 2
         for sm, cert in zip(r.self_maps, r.certificates, strict=True):
             for iso in isos:
-                _assert_conjugate_certifies_alike(sm, cert, iso, r.seed)
+                _assert_conjugate_certifies_alike(sm, cert, iso,
+                                                  r.composite.target)
 
 
 def test_census_certifies_each_distinct_closure_once(monkeypatch):
@@ -431,10 +432,10 @@ def test_depth_four_closures_share_four_components(census):
                             SearchConfig(max_depth=4, certify=False))
     for loops in (census, from_tau):
         assert len(loops) == 80
-        arcs = {lab: set() for lab in loops[0].seed.edges}
+        arcs = {lab: set() for lab in loops[0].composite.target.edges}
         for r in loops:
             for iso, sm in zip(r.identifications, r.self_maps, strict=True):
-                mat = incidence_matrix(_conjugate(sm, iso, r.seed))
+                mat = incidence_matrix(_conjugate(sm, iso, r.composite.target))
                 for lab, row in zip(mat.rows, mat.data):
                     arcs[lab].update(c for c, x in zip(mat.cols, row) if x)
         assert _components(arcs) == {"acegik", "bh", "dj", "fl"}

@@ -102,7 +102,7 @@ ILLEGAL = [
 @pytest.mark.parametrize("prefix, token, reason, message", ILLEGAL,
                          ids=[f"{c[2]}:{c[1]}" for c in ILLEGAL])
 def test_every_illegal_move_reason(prefix, token, reason, message):
-    t = apply_sequence(base_track(), parse_sequence(prefix)).final
+    t = apply_sequence(base_track(), parse_sequence(prefix)).source
     mv = parse_move(token)
     assert mv not in legal_splits(t)
     with pytest.raises(IllegalMove) as exc:
@@ -128,7 +128,7 @@ def test_apply_sequence_reports_failing_index():
         # the track reached before move k, built and validated
         assert isinstance(err.track, TrainTrack)
         assert err.track.switches == \
-            apply_sequence(t, moves[:k]).final.switches
+            apply_sequence(t, moves[:k]).source.switches
 
 
 def test_split_morphism_shape():
@@ -205,8 +205,8 @@ def test_unsplit_rejects_unfoldable_and_unknown_ends():
 
 def test_s1_runs_from_initial_track():
     run = apply_sequence(initial_track(), s1_moves())
-    assert tracks_equal(run.final, base_track())
-    run.morphism.check()
+    assert tracks_equal(run.source, base_track())
+    run.check()
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +244,7 @@ def test_random_walks_unsplit_back_to_start():
     for _ in range(30):
         start = base_track()
         moves = _random_walk(rng, start, rng.randrange(1, 6))
-        run = apply_sequence(start, moves)
-        t = run.final
+        t = apply_sequence(start, moves).source
         for mv in reversed(moves):
             t, _ = unsplit(t, mv)
         assert tracks_equal(t, start)
@@ -312,7 +311,7 @@ def test_kernel_matches_apply_split_and_unsplit_undoes_it(start, picks):
         assert back.canonical_key == t.canonical_key
         # one move has one morphism, whichever way it is reached
         assert (fold.images, fold.name) == (step.images, step.name)
-        assert apply_sequence(t, (mv,)).morphism.images == step.images
+        assert apply_sequence(t, (mv,)).images == step.images
         t = child
 
 
@@ -367,9 +366,9 @@ def test_sequence_morphism_is_the_composite_of_its_splits(start, picks):
     for mv in moves:
         t, step = apply_split(t, mv)
         composite = compose(composite, step)
-    assert run.final.switches == t.switches
-    assert run.morphism == composite
-    assert run.morphism.source is run.final and run.morphism.target is t0
+    assert run.source.switches == t.switches
+    assert run == composite
+    assert run.target is t0
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,7 +386,7 @@ def test_sequence_images_are_the_stepwise_joins(start, picks):
         ride = images[y] if over == "i" else inverse(images[y])
         images[x] = (join(images[x], ride) if kind == "t"
                      else join(inverse(ride), images[x]))
-    assert apply_sequence(t0, moves).morphism.mapping == images
+    assert apply_sequence(t0, moves).mapping == images
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +402,7 @@ def test_sequence_incidence_is_the_product_of_its_splits(start, picks):
     for mv in moves:
         t, step = apply_split(t, mv)
         product = mat_mult(incidence_matrix(step).data, product)
-    assert incidence_matrix(run.morphism).data == tuple(map(tuple, product))
+    assert incidence_matrix(run).data == tuple(map(tuple, product))
 
 
 # ----------------------------------------------------------------------
